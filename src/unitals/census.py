@@ -4,11 +4,15 @@ Every census takes an explicit seed (sampling uses random.Random, so runs are
 reproducible across machines) and returns a CensusReport: a list of
 CensusRecord rows plus a summary with the assertion outcomes.  Nothing raises
 on a mathematical violation; violations land in the report and callers (the
-CLI, the tests) decide.  Intersection sizes are always computed twice, by
-sorted-list merge and by bitmask AND, and the two routes must agree.
+CLI, the tests) decide.  A report with no records never counts as a pass.
+Intersection sizes are always computed twice, by set intersection and by
+bitmask AND, and the two routes must agree.
 
-Serialized reports omit per-record wall times so that identical configs give
-byte-identical files; aggregate timing is the caller's business.
+Each census kind is a spec run by one pipeline (`_run`): a guard on its
+parameters, its sources (the tasks, drawn in a fixed order), a `measure`
+function that turns one task into a record and a `summarise` function over
+all records.  Reports hold no wall times, so identical configs give
+byte-identical files; timing is the caller's business.
 """
 
 from __future__ import annotations
@@ -17,8 +21,6 @@ import csv
 import io
 import json
 import random
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
 from .finite_field import Field, field_for_q
@@ -44,27 +46,13 @@ def _version() -> str:
     return __version__
 
 
-def _merge_count(a: tuple[int, ...], b: tuple[int, ...]) -> int:
-    i = j = n = 0
-    while i < len(a) and j < len(b):
-        if a[i] == b[j]:
-            n += 1
-            i += 1
-            j += 1
-        elif a[i] < b[j]:
-            i += 1
-        else:
-            j += 1
-    return n
-
-
 def intersect_size(A: PointSet, B: PointSet) -> int:
-    """|A and B| computed by sorted merge and by bitmask AND; must agree."""
-    by_merge = _merge_count(A.members, B.members)
+    """|A and B| computed by set intersection and by bitmask AND; must agree."""
+    by_set = len(set(A.members).intersection(B.members))
     by_mask = (A.mask & B.mask).bit_count()
-    if by_merge != by_mask:
+    if by_set != by_mask:
         raise AssertionError("intersection routes disagree")
-    return by_merge
+    return by_set
 
 
 @dataclass
@@ -75,7 +63,6 @@ class CensusRecord:
     congruences: tuple[tuple[int, int], ...]  # (modulus, residue) pairs
     ok: bool
     extra: dict = dc_field(default_factory=dict)
-    elapsed: float = 0.0  # in-memory only; never serialized
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,16 +117,24 @@ class CensusReport:
         return buf.getvalue()
 
 
-def _map_ordered(fn, items, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
+def _run(kind: str, config: dict, tasks, measure, summarise) -> CensusReport:
+    """The census pipeline: measure each task in order, then summarise.
+
+    `summary["ok"]` is set here and nowhere else: every record passed, and
+    there was at least one record.
+    """
+    records = [measure(task) for task in tasks]
+    summary = summarise(records)
+    summary["ok"] = bool(records) and all(r.ok for r in records)
+    config["version"] = _version()
+    return CensusReport(kind=kind, config=config, records=records, summary=summary)
 
 
-def _config(**kw) -> dict:
-    kw["version"] = _version()
-    return kw
+def _hist(values) -> dict[str, int]:
+    out: dict[int, int] = {}
+    for v in values:
+        out[v] = out.get(v, 0) + 1
+    return {str(k): v for k, v in sorted(out.items())}
 
 
 def _form_desc(form: HermitianForm, **extra) -> dict:
@@ -193,6 +188,16 @@ def collineated_hermitian_unitals(
     return out
 
 
+def _sweep(field: Field, seed: int, hermitian_samples: int, unitals: list) -> tuple[list, list]:
+    """Every unital against the canonical Hermitian unital and its seeded images.
+
+    Returns (hermitians, tasks); each task is (unital entry, H descriptor, H).
+    """
+    hermitians = [({"kind": "hermitian_canonical"}, canonical_hermitian_unital(field))]
+    hermitians += collineated_hermitian_unitals(field, hermitian_samples, seed)
+    return hermitians, [(u, hd, H) for u in unitals for hd, H in hermitians]
+
+
 # ---------------------------------------------------------------------------
 # censuses
 
@@ -201,7 +206,6 @@ def kestenband_census(
     q: int,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
 ) -> CensusReport:
     """Sizes of |H1 and H2| for sampled pairs of distinct Hermitian unitals.
 
@@ -227,46 +231,35 @@ def kestenband_census(
             continue
         pairs.append((f1, s1, H1, f2, s2, H2))
 
-    def work(item):
+    def measure(item):
         f1, s1, H1, f2, s2, H2 = item
-        t0 = time.perf_counter()
         size = intersect_size(H1, H2)
-        rec = CensusRecord(
+        return CensusRecord(
             left=_form_desc(f1, seed=s1),
             right=_form_desc(f2, seed=s2),
             size=size,
             congruences=((q, size % q),),
             ok=size in allowed and size % q == 1,
-            elapsed=time.perf_counter() - t0,
         )
-        return rec
 
-    records = _map_ordered(work, pairs, threads)
-    hist: dict[int, int] = {}
-    for r in records:
-        hist[r.size] = hist.get(r.size, 0) + 1
-    summary = {
-        "size_histogram": {str(k): v for k, v in sorted(hist.items())},
-        "allowed_sizes": sorted(allowed),
-        "all_in_admissible_set": all(r.size in allowed for r in records),
-        "all_congruent_1_mod_q": all(r.size % q == 1 for r in records),
-        "coincident_redraws": coincident,
-        "degenerate_redraws": degenerate,
-        "ok": all(r.ok for r in records),
-    }
-    return CensusReport(
-        kind="kestenband",
-        config=_config(q=q, samples=samples, seed=seed),
-        records=records,
-        summary=summary,
-    )
+    def summarise(records):
+        return {
+            "size_histogram": _hist(r.size for r in records),
+            "allowed_sizes": sorted(allowed),
+            "all_in_admissible_set": all(r.size in allowed for r in records),
+            "all_congruent_1_mod_q": all(r.size % q == 1 for r in records),
+            "coincident_redraws": coincident,
+            "degenerate_redraws": degenerate,
+        }
+
+    config = dict(q=q, samples=samples, seed=seed)
+    return _run("kestenband", config, pairs, measure, summarise)
 
 
 def bm_vs_hermitian_census(
     q: int,
     seed: int = DEFAULT_SEED,
     hermitian_samples: int = 20,
-    threads: int = 1,
 ) -> CensusReport:
     """|H and U_{a,b}| = 1 mod q for every valid (a,b) and every sampled H.
 
@@ -279,43 +272,30 @@ def bm_vs_hermitian_census(
     field = field_for_q(q)
     p, t = field.p, field.t
     mod2 = p ** -(-t // 2)  # p^ceil(t/2), the weaker corollary modulus
-    params = all_valid_bm_params(field)
-    hermitians = [({"kind": "hermitian_canonical"}, canonical_hermitian_unital(field))]
-    hermitians += collineated_hermitian_unitals(field, hermitian_samples, seed)
-    unitals = [(p_, bm_unital(p_)) for p_ in params]
+    unitals = [(_bm_desc(pr), bm_unital(pr)) for pr in all_valid_bm_params(field)]
+    hermitians, tasks = _sweep(field, seed, hermitian_samples, unitals)
 
-    tasks = [(pr, U, hd, H) for pr, U in unitals for hd, H in hermitians]
-
-    def work(item):
-        pr, U, hd, H = item
-        t0 = time.perf_counter()
+    def measure(item):
+        (ud, U), hd, H = item
         size = intersect_size(U, H)
         return CensusRecord(
-            left=_bm_desc(pr),
+            left=ud,
             right=hd,
             size=size,
             congruences=((q, size % q), (mod2, (size - 1) % mod2)),
             ok=size % q == 1,
-            elapsed=time.perf_counter() - t0,
         )
 
-    records = _map_ordered(work, tasks, threads)
-    residues: dict[int, int] = {}
-    for r in records:
-        residues[r.size % q] = residues.get(r.size % q, 0) + 1
-    summary = {
-        "valid_params": len(params),
-        "hermitian_sets": len(hermitians),
-        "pairs": len(records),
-        "residues_mod_q": {str(k): v for k, v in sorted(residues.items())},
-        "ok": all(r.ok for r in records),
-    }
-    return CensusReport(
-        kind="bm_vs_hermitian",
-        config=_config(q=q, seed=seed, hermitian_samples=hermitian_samples),
-        records=records,
-        summary=summary,
-    )
+    def summarise(records):
+        return {
+            "valid_params": len(unitals),
+            "hermitian_sets": len(hermitians),
+            "pairs": len(records),
+            "residues_mod_q": _hist(r.size % q for r in records),
+        }
+
+    config = dict(q=q, seed=seed, hermitian_samples=hermitian_samples)
+    return _run("bm_vs_hermitian", config, tasks, measure, summarise)
 
 
 def general_unital_congruence(
@@ -323,7 +303,6 @@ def general_unital_congruence(
     seed: int = DEFAULT_SEED,
     unitals: list[tuple[dict, PointSet]] | None = None,
     hermitian_samples: int = 20,
-    threads: int = 1,
 ) -> CensusReport:
     """The two congruence bounds for verified unitals against Hermitian ones.
 
@@ -347,16 +326,14 @@ def general_unital_congruence(
             raise ValueError(
                 f"source produced a non-unital ({desc}): profile {check.profile}"
             )
-    hermitians = [({"kind": "hermitian_canonical"}, canonical_hermitian_unital(field))]
-    hermitians += collineated_hermitian_unitals(field, hermitian_samples, seed)
+    # one complement per unital, shared by all its pairs
+    sources = [(desc, U, U.complement()) for desc, U in unitals]
+    hermitians, tasks = _sweep(field, seed, hermitian_samples, sources)
 
-    tasks = [(ud, U, hd, H) for ud, U in unitals for hd, H in hermitians]
-
-    def work(item):
-        ud, U, hd, H = item
-        t0 = time.perf_counter()
+    def measure(item):
+        (ud, U, U_comp), hd, H = item
         size = intersect_size(U, H)
-        comp_section = intersect_size(U.complement(), H)
+        comp_section = intersect_size(U_comp, H)
         identity_ok = comp_section == len(H) - size
         nu = val_p(size - 1, p) if size != 1 else None  # None means +infinity
         cong_ok = (size - 1) % (p**need) == 0
@@ -373,27 +350,20 @@ def general_unital_congruence(
                 "complement_section": comp_section,
                 "identity_ok": identity_ok,
             },
-            elapsed=time.perf_counter() - t0,
         )
 
-    records = _map_ordered(work, tasks, threads)
-    summary = {
-        "unitals": len(unitals),
-        "hermitian_sets": len(hermitians),
-        "pairs": len(records),
-        "theta": theta,
-        "min_nu_p_size_minus_1": min(
-            (r.extra["nu_p_size_minus_1"] for r in records if r.extra["nu_p_size_minus_1"] is not None),
-            default=None,
-        ),
-        "ok": all(r.ok for r in records),
-    }
-    return CensusReport(
-        kind="general_unital_congruence",
-        config=_config(q=q, seed=seed, hermitian_samples=hermitian_samples),
-        records=records,
-        summary=summary,
-    )
+    def summarise(records):
+        nus = (r.extra["nu_p_size_minus_1"] for r in records)
+        return {
+            "unitals": len(unitals),
+            "hermitian_sets": len(hermitians),
+            "pairs": len(records),
+            "theta": theta,
+            "min_nu_p_size_minus_1": min((nu for nu in nus if nu is not None), default=None),
+        }
+
+    config = dict(q=q, seed=seed, hermitian_samples=hermitian_samples)
+    return _run("general_unital_congruence", config, tasks, measure, summarise)
 
 
 def hermitian_pair_divisibility(
@@ -401,7 +371,6 @@ def hermitian_pair_divisibility(
     q: int,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
 ) -> CensusReport:
     """Divisibility statistics for pairs of Hermitian varieties in PG(n, q^2).
 
@@ -426,9 +395,8 @@ def hermitian_pair_divisibility(
         degenerate += rej1 + rej2
         pairs.append((f1, s1, f2, s2))
 
-    def work(item):
+    def measure(item):
         f1, s1, f2, s2 = item
-        t0 = time.perf_counter()
         H1 = hermitian_variety(f1)
         H2 = hermitian_variety(f2)
         size = intersect_size(H1, H2)
@@ -448,36 +416,30 @@ def hermitian_pair_divisibility(
                 "coincident": H1.members == H2.members,
                 "identity_ok": identity_ok,
             },
-            elapsed=time.perf_counter() - t0,
         )
 
-    records = _map_ordered(work, pairs, threads)
-    direct = all(r.size % qn == 0 for r in records)
-    summary = {
-        "modulus": qn,
-        "complement_reading_holds": all(r.extra["complement_size"] % qn == 0 for r in records),
-        "direct_reading_holds": direct,
-        "note": (
-            "direct reading q^(n-1) | |H1&H2| fails at n=2 (sizes are 1 mod q); "
-            "the complement reading is the supported statement"
-        ),
-        "size_histogram": _hist(r.size for r in records),
-        "degenerate_redraws": degenerate,
-        "ok": all(r.ok for r in records),
-    }
-    return CensusReport(
-        kind="hermitian_pair_divisibility",
-        config=_config(n=n, q=q, samples=samples, seed=seed),
-        records=records,
-        summary=summary,
-    )
+    def summarise(records):
+        return {
+            "modulus": qn,
+            "complement_reading_holds": all(r.extra["complement_size"] % qn == 0 for r in records),
+            "direct_reading_holds": all(r.size % qn == 0 for r in records),
+            "note": (
+                "direct reading q^(n-1) | |H1&H2| fails at n=2 (sizes are 1 mod q); "
+                "the complement reading is the supported statement"
+            ),
+            "size_histogram": _hist(r.size for r in records),
+            "degenerate_redraws": degenerate,
+        }
+
+    config = dict(n=n, q=q, samples=samples, seed=seed)
+    return _run("hermitian_pair_divisibility", config, pairs, measure, summarise)
 
 
 def nonhermitian_pair_scan(
     q: int,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    threads: int = 1,
+    *,
     general_position: bool = True,
 ) -> CensusReport:
     """Residue scan for pairs of distinct non-Hermitian B-M unitals.
@@ -509,9 +471,8 @@ def nonhermitian_pair_scan(
         g = _random_collineation(field, 2, rng) if general_position else None
         pairs.append((p1, p2, g))
 
-    def work(item):
+    def measure(item):
         p1, p2, g = item
-        t0 = time.perf_counter()
         right = sets[p2] if g is None else apply_collineation(g, sets[p2])
         size = intersect_size(sets[p1], right)
         desc = _bm_desc(p2)
@@ -523,34 +484,20 @@ def nonhermitian_pair_scan(
             size=size,
             congruences=((p, size % p), (mod2, size % mod2), (q, size % q)),
             ok=True,
-            elapsed=time.perf_counter() - t0,
         )
 
-    records = _map_ordered(work, pairs, threads)
-    mod_p = _hist(r.size % p for r in records)
-    mod_q = _hist(r.size % q for r in records)
-    summary = {
-        "general_position": general_position,
-        "residues_mod_p": mod_p,
-        "residues_mod_p_ceil_half": _hist(r.size % mod2 for r in records),
-        "residues_mod_q": mod_q,
-        "size_histogram": _hist(r.size for r in records),
-        "non_constant_mod_p": len(mod_p) >= 2,
-        "non_constant_mod_q": len(mod_q) >= 2,
-        "ok": True,
-    }
-    return CensusReport(
-        kind="nonhermitian_pair_scan",
-        config=_config(
-            q=q, samples=samples, seed=seed, general_position=general_position
-        ),
-        records=records,
-        summary=summary,
-    )
+    def summarise(records):
+        mod_p = _hist(r.size % p for r in records)
+        mod_q = _hist(r.size % q for r in records)
+        return {
+            "general_position": general_position,
+            "residues_mod_p": mod_p,
+            "residues_mod_p_ceil_half": _hist(r.size % mod2 for r in records),
+            "residues_mod_q": mod_q,
+            "size_histogram": _hist(r.size for r in records),
+            "non_constant_mod_p": len(mod_p) >= 2,
+            "non_constant_mod_q": len(mod_q) >= 2,
+        }
 
-
-def _hist(values) -> dict[str, int]:
-    out: dict[int, int] = {}
-    for v in values:
-        out[v] = out.get(v, 0) + 1
-    return {str(k): v for k, v in sorted(out.items())}
+    config = dict(q=q, samples=samples, seed=seed, general_position=general_position)
+    return _run("nonhermitian_pair_scan", config, pairs, measure, summarise)

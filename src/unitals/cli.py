@@ -3,7 +3,8 @@
 Subcommands: field-info, enum, make-unital, verify-unital, invariants,
 census, charfn-check.  Exit code 0 means every assertion passed, 1 means an
 assertion failed (the first failing census record is printed to stderr), and
-2 means unusable flags or invalid construction parameters.
+2 means unusable flags, invalid construction parameters or a malformed input
+file.
 
 Reports go to --out when given, else to stdout; diagnostics go to stderr.
 Identical invocations produce byte-identical report files.
@@ -133,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--threads", type=int, default=1, help="0 = auto")
+    sp.add_argument("--threads", type=int, default=1, help="accepted for compatibility; ignored")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_census)
@@ -273,24 +274,21 @@ def _multiset(values) -> dict:
 
 
 def cmd_census(args) -> int:
-    threads = args.threads
-    if threads == 0:
-        import os
-
-        threads = os.cpu_count() or 1
-    if threads < 0:
+    if args.threads < 0:
         raise _Usage("--threads must be >= 0")
+    if args.samples < 1:
+        raise _Usage("--samples must be >= 1")
     kind = args.kind
     if kind == "kestenband":
-        report = kestenband_census(_q_of(args), args.samples, args.seed, threads)
+        report = kestenband_census(_q_of(args), args.samples, args.seed)
     elif kind == "bm-vs-hermitian":
-        report = bm_vs_hermitian_census(_q_of(args), seed=args.seed, threads=threads)
+        report = bm_vs_hermitian_census(_q_of(args), seed=args.seed)
     elif kind == "general":
-        report = general_unital_congruence(_q_of(args), seed=args.seed, threads=threads)
+        report = general_unital_congruence(_q_of(args), seed=args.seed)
     elif kind == "hermitian-pairs":
-        report = hermitian_pair_divisibility(args.n, _q_of(args), args.samples, args.seed, threads)
+        report = hermitian_pair_divisibility(args.n, _q_of(args), args.samples, args.seed)
     else:
-        report = nonhermitian_pair_scan(_q_of(args), args.samples, args.seed, threads)
+        report = nonhermitian_pair_scan(_q_of(args), args.samples, args.seed)
     text = report.to_json() if args.format == "json" else report.to_csv()
     _emit(text, args.out)
     print(json.dumps({"kind": report.kind, "summary": report.summary}, sort_keys=True), file=sys.stderr)
@@ -337,13 +335,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except _Usage as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
+    except (_Usage, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

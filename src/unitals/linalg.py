@@ -6,7 +6,7 @@ a few hundred rows), so everything is straightforward Gaussian elimination.
 
 from __future__ import annotations
 
-from .finite_field import Field, FieldElem, frobenius
+from .finite_field import FieldElem
 
 
 def mat_vec(M, v):
@@ -37,15 +37,6 @@ def mat_mul(A, B):
     return tuple(out)
 
 
-def conj_transpose(M) -> tuple:
-    """Transpose with entrywise x -> x^q conjugation."""
-    t = M[0][0].field.t
-    n = len(M)
-    return tuple(
-        tuple(frobenius(M[j][i], t) for j in range(n)) for i in range(len(M[0]))
-    )
-
-
 def mat_det(M) -> FieldElem:
     n = len(M)
     field = M[0][0].field
@@ -66,56 +57,6 @@ def mat_det(M) -> FieldElem:
             if f:
                 rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
     return det
-
-
-def mat_inv(M) -> tuple:
-    n = len(M)
-    field = M[0][0].field
-    rows = [list(r) + [field.one if i == j else field.zero for j in range(n)]
-            for i, r in enumerate(M)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        inv = field.one / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
-        for r in range(n):
-            if r != col and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
-    return tuple(tuple(row[n:]) for row in rows)
-
-
-def identity_matrix(n: int, field: Field) -> tuple:
-    return tuple(
-        tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
-    )
-
-
-def rref(rows) -> tuple[tuple, tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    if not rows:
-        return (), ()
-    field = rows[0][0].field
-    work = [list(r) for r in rows]
-    ncols = len(work[0])
-    pivots = []
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = field.one / work[rank][col]
-        work[rank] = [x * inv for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [a - f * b for a, b in zip(work[r], work[rank])]
-        pivots.append(col)
-        rank += 1
-    return tuple(tuple(r) for r in work[:rank]), tuple(pivots)
 
 
 # ---------------------------------------------------------------------------

@@ -268,9 +268,31 @@ class PointSet:
         }
 
     @staticmethod
-    def from_json_dict(d: dict) -> PointSet:
-        field = make_field(int(d["p"]), int(d["t"]), tuple(d["modulus"]) if "modulus" in d else None)
-        return PointSet(int(d["n"]), field, tuple(int(i) for i in d["members"]))
+    def from_json_dict(d) -> PointSet:
+        """Inverse of to_json_dict; malformed input raises a one-line ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"point set must be a JSON object, not {type(d).__name__}")
+        missing = [k for k in ("n", "p", "t", "members") if k not in d]
+        if missing:
+            raise ValueError(f"point set lacks key(s) {', '.join(missing)}")
+        n, p, t = (_json_int(d[k], k) for k in ("n", "p", "t"))
+        members = tuple(_json_int(i, "member") for i in _json_list(d["members"], "members"))
+        modulus = d.get("modulus")
+        if modulus is not None:
+            modulus = tuple(_json_int(c, "modulus") for c in _json_list(modulus, "modulus"))
+        return PointSet(n, make_field(p, t, modulus), members)
+
+
+def _json_int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"point set {what} must be an integer, not {value!r}")
+    return value
+
+
+def _json_list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"point set {what} must be a JSON list, not {type(value).__name__}")
+    return value
 
 
 def all_points_set(n: int, field: Field) -> PointSet:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 
@@ -63,10 +64,60 @@ def test_kestenband_census_small(q):
 
 def test_kestenband_census_deterministic_and_threaded():
     a = kestenband_census(2, samples=10, seed=5)
-    b = kestenband_census(2, samples=10, seed=5, threads=2)
-    assert a.to_json() == b.to_json()
+    assert a.to_json() == kestenband_census(2, samples=10, seed=5).to_json()
     c = kestenband_census(2, samples=10, seed=6)
     assert a.to_json() != c.to_json()
+
+
+def test_zero_record_census_does_not_pass():
+    rep = kestenband_census(2, samples=0)
+    assert rep.records == []
+    assert rep.ok is False
+
+
+# sha256 of to_json() and to_csv() at the default seed, frozen before the five
+# census kinds moved onto one pipeline.  The JSON embeds the library version,
+# so a version bump changes the JSON digests and nothing else should.
+REPORT_DIGESTS = {
+    "kestenband": (
+        lambda: kestenband_census(2, samples=10),
+        "939195fd35cd3886f0a75ba1e23339a04131748c74ad077f867d5c2a25be67c1",
+        "495a933a70d49a6be74a4ffbfc5fff177692b72549816d7d58aa21847f2401ff",
+    ),
+    "bm_vs_hermitian": (
+        lambda: bm_vs_hermitian_census(3, hermitian_samples=2),
+        "68797eb4a55550271c9ff469770e364c545df2293ed4a8e26f6da69cd6732cda",
+        "0a2b9495bafa4142b20a8fa560ded7fe6d8e52949d3b391f7ca35c4fdaadac29",
+    ),
+    "general": (
+        lambda: general_unital_congruence(3, hermitian_samples=2),
+        "234e445ae4e465397c0ac156485aaf8d15ff5f5ffd7a52cf4aa89a303b76ed80",
+        "05587cd0ebc55507ed0ba98197388c8a96bd86d0b122c25b0faa6c895f72d6fd",
+    ),
+    "hermitian_pairs": (
+        lambda: hermitian_pair_divisibility(2, 2, samples=10),
+        "07e7f17d26ad8c2ab60cdd097b71d255916288c9cce72958a2a5508823ce12e0",
+        "2d25fbd8b99d429f642c553865400aeb69241fced4e9d5d5d13f615b39d056ad",
+    ),
+    "nonhermitian_general": (
+        lambda: nonhermitian_pair_scan(3, samples=10),
+        "e1d0a5046b27e2b567160e2c7cf905cef2b58927b86b314e8fe118c38004add1",
+        "6f211a35101d4b53e618600c0e88da1c3fa78715f41a70ddd27e19ec8dc609ab",
+    ),
+    "nonhermitian_standard": (
+        lambda: nonhermitian_pair_scan(3, samples=10, general_position=False),
+        "cb6f15324c48692e4600ea7e777dbeea0a0ecb5f93c91ff9bf2884329af24c0d",
+        "8cb3905f53281f7aff3324b15da6b3a0e8d4c79bdcf767022f4b8d4cf20fd04a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_DIGESTS))
+def test_census_report_bytes_frozen(name):
+    run, json_sha, csv_sha = REPORT_DIGESTS[name]
+    rep = run()
+    assert hashlib.sha256(rep.to_json().encode()).hexdigest() == json_sha
+    assert hashlib.sha256(rep.to_csv().encode()).hexdigest() == csv_sha
 
 
 def test_bm_vs_hermitian_census_q3():

@@ -112,6 +112,26 @@ def test_verify_unital_rejects_non_unital(tmp_path, capsys):
     assert code == 2
 
 
+MALFORMED_POINT_SETS = {
+    "missing p": json.dumps({"n": 2, "t": 1, "members": [0]}),
+    "json list": "[1, 2]",
+    "non-integer member": json.dumps({"n": 2, "p": 2, "t": 1, "members": [0, "x"]}),
+    "out-of-range member": json.dumps({"n": 2, "p": 2, "t": 1, "members": [0, 999]}),
+    "not json": "not json",
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_POINT_SETS))
+def test_verify_unital_malformed_input(tmp_path, capsys, case):
+    path = tmp_path / "in.json"
+    path.write_text(MALFORMED_POINT_SETS[case])
+    code, out, err = run(capsys, "verify-unital", "--in", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_invariants_with_snf(capsys):
     code, out, _ = run(capsys, "invariants", "--q", "2", "--r", "2", "--verify-snf")
     assert code == 0
@@ -161,6 +181,15 @@ def test_census_cli_other_kinds(capsys):
     assert code == 2
     code, _, err = run(capsys, "census", "--kind", "kestenband", "--q", "2", "--threads", "-1")
     assert code == 2
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+@pytest.mark.parametrize("kind", ["kestenband", "hermitian-pairs", "nonhermitian-scan"])
+def test_census_cli_rejects_samples_below_one(capsys, kind, samples):
+    code, out, err = run(capsys, "census", "--kind", kind, "--q", "3", "--samples", samples)
+    assert code == 2
+    assert out == ""
+    assert err == "error: --samples must be >= 1\n"
 
 
 def test_census_cli_threads_match(tmp_path, capsys):

@@ -1,18 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from unitals.finite_field import make_field
-from unitals.linalg import (
-    conj_transpose,
-    identity_matrix,
-    mat_det,
-    mat_inv,
-    mat_mul,
-    mat_vec,
-    nullspace_mod_p,
-    rref,
-)
+from unitals.linalg import mat_det, mat_mul, mat_vec, nullspace_mod_p
 
 
 def _random_matrix(field, n, rng):
@@ -21,24 +13,19 @@ def _random_matrix(field, n, rng):
     )
 
 
-@pytest.mark.parametrize("p,t", [(3, 1), (2, 2)])
-def test_det_inv_round_trip(p, t):
-    f = make_field(p, t)
+@pytest.mark.parametrize("p,t", [(3, 1), (2, 1)])
+def test_det_zero_iff_singular(p, t):
+    """mat_det(m) == 0 exactly when m kills some nonzero vector, by brute force."""
+    f = make_field(p, t)  # GF(9), GF(4)
     rng = random.Random(7)
-    ident = identity_matrix(3, f)
+    vectors = [v for v in itertools.product(f.elements, repeat=3) if any(v)]
     singular = invertible = 0
     for _ in range(40):
         m = _random_matrix(f, 3, rng)
-        d = mat_det(m)
-        if d == f.zero:
-            singular += 1
-            with pytest.raises(ValueError):
-                mat_inv(m)
-        else:
-            invertible += 1
-            inv = mat_inv(m)
-            assert mat_mul(m, inv) == ident
-            assert mat_mul(inv, m) == ident
+        kills = any(not any(mat_vec(m, v)) for v in vectors)
+        assert (mat_det(m) == f.zero) == kills
+        singular += kills
+        invertible += not kills
     assert singular and invertible
 
 
@@ -58,30 +45,6 @@ def test_mat_vec_matches_mat_mul():
     v = [f.elem(rng.randrange(f.size)) for _ in range(3)]
     col = tuple((x,) for x in v)
     assert tuple((y,) for y in mat_vec(m, v)) == mat_mul(m, col)
-
-
-def test_conj_transpose_is_involution():
-    f = make_field(3, 1)
-    rng = random.Random(5)
-    m = _random_matrix(f, 3, rng)
-    assert conj_transpose(conj_transpose(m)) == m
-    # (AB)* == B* A*
-    b = _random_matrix(f, 3, rng)
-    assert conj_transpose(mat_mul(m, b)) == mat_mul(conj_transpose(b), conj_transpose(m))
-
-
-def test_rref_properties():
-    f = make_field(2, 2)
-    rng = random.Random(9)
-    for _ in range(20):
-        rows = [[f.elem(rng.randrange(f.size)) for _ in range(4)] for _ in range(3)]
-        red, pivots = rref(rows)
-        assert len(pivots) == len(set(pivots))
-        for r, c in enumerate(pivots):
-            assert red[r][c] == f.one
-            for r2 in range(len(red)):
-                if r2 != r:
-                    assert red[r2][c] == f.zero
 
 
 def test_nullspace_mod_p():
