@@ -25,7 +25,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .finite_field import Field, field_for_q
 from .padic_invariants import theta_bound, val_p
-from .proj_geom import PointSet, apply_collineation, enum_points
+from .proj_geom import PointSet, apply_collineation, gaussian_binomial
 from .varieties import (
     BMParams,
     HermitianForm,
@@ -385,7 +385,8 @@ def hermitian_pair_divisibility(
     field = field_for_q(q)
     p = field.p
     qn = q ** (n - 1)
-    total_points = len(enum_points(n, field))
+    total_points = gaussian_binomial(n + 1, 1, field.size)
+    all_mask = (1 << total_points) - 1
     rng = random.Random(seed)
     degenerate = 0
     pairs = []
@@ -400,7 +401,8 @@ def hermitian_pair_divisibility(
         H1 = hermitian_variety(f1)
         H2 = hermitian_variety(f2)
         size = intersect_size(H1, H2)
-        comp = intersect_size(H1.complement(), H2.complement())
+        # |comp(H1) and comp(H2)| from the masks; inclusion-exclusion is the second route
+        comp = (all_mask & ~(H1.mask | H2.mask)).bit_count()
         identity_ok = comp == total_points - len(H1) - len(H2) + size
         return CensusRecord(
             left=_form_desc(f1, seed=s1),

@@ -26,7 +26,7 @@ from .census import (
     kestenband_census,
     nonhermitian_pair_scan,
 )
-from .finite_field import field_for_q, is_prime, make_field
+from .finite_field import field_for_q, make_field
 from .galois_ring import herm_char_value, make_ring
 from .padic_invariants import (
     enum_basis_monomials,
@@ -63,8 +63,6 @@ def _resolve_field(args):
         return field
     if p is None or t is None:
         raise _Usage("need --q, or both --p and --t")
-    if not is_prime(p):
-        raise _Usage(f"--p {p} is not prime")
     return make_field(p, t)
 
 

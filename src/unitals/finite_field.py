@@ -121,7 +121,7 @@ class FieldElem:
 
     @property
     def in_subfield(self) -> bool:
-        return self.field.frob_enc(self.enc, self.field.t) == self.enc
+        return self.field._conj[self.enc] == self.enc
 
     def _check(self, other) -> int:
         if not isinstance(other, FieldElem):
@@ -179,17 +179,11 @@ class Field:
     """
 
     def __init__(self, p: int, t: int, modulus: tuple[int, ...] | None = None):
-        if not is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
-        if t < 1:
-            raise ValueError(f"t = {t} must be >= 1")
+        self.size = _field_size(p, t)
         self.p = p
         self.t = t
         self.degree = 2 * t
-        self.size = p**self.degree
         self.q = p**t
-        if self.size > MAX_FIELD_SIZE:
-            raise ValueError(f"field size {self.size} exceeds {MAX_FIELD_SIZE}")
         if modulus is None:
             modulus = _lex_smallest_irreducible(p, self.degree)
         else:
@@ -204,11 +198,9 @@ class Field:
         self.zero = self._elems[0]
         self.one = self._elems[1]
         self.gen = self._elems[self.generator]
-        self.subfield_encs = tuple(
-            e for e in range(self.size) if self.frob_enc(e, t) == e
-        )
+        self._conj = tuple(self.frob_enc(e, t) for e in range(self.size))  # x -> x^q
+        self.subfield_encs = tuple(e for e in range(self.size) if self._conj[e] == e)
         assert len(self.subfield_encs) == self.q
-        self._subfield_set = frozenset(self.subfield_encs)
 
     # -- table construction -------------------------------------------------
 
@@ -326,6 +318,19 @@ class Field:
         n = self.size - 1
         return self._exp[(self._log[a] * k) % n]
 
+    def mat_vec_enc(self, M, v) -> tuple[int, ...]:
+        """The product M v on encodings; M is a sequence of rows of encodings."""
+        add, exp, log, n = self.add_enc, self._exp, self._log, self.size - 1
+        logs = [(log[x], j) for j, x in enumerate(v) if x]
+        out = []
+        for row in M:
+            acc = 0
+            for lx, j in logs:
+                if row[j]:
+                    acc = add(acc, exp[(log[row[j]] + lx) % n])
+            out.append(acc)
+        return tuple(out)
+
     def frob_enc(self, a: int, k: int) -> int:
         if k < 0:
             raise ValueError("frobenius power must be >= 0")
@@ -359,6 +364,18 @@ class Field:
         return f"Field(p={self.p}, t={self.t}, modulus={self.modulus})"
 
 
+def _field_size(p: int, t: int) -> int:
+    """p^(2t) for t >= 1 and a prime p; the size bound comes before trial division."""
+    if t < 1:
+        raise ValueError(f"t = {t} must be >= 1")
+    # the first two tests keep p ** (2 * t) from being computed for a huge p or t
+    if p > MAX_FIELD_SIZE or 2 * t > MAX_FIELD_SIZE.bit_length() or p ** (2 * t) > MAX_FIELD_SIZE:
+        raise ValueError(f"field size {p}^{2 * t} exceeds {MAX_FIELD_SIZE}")
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
+    return p ** (2 * t)
+
+
 @lru_cache(maxsize=None)
 def _cached_field(p: int, t: int, modulus: tuple[int, ...]) -> Field:
     return Field(p, t, modulus)
@@ -370,12 +387,7 @@ def make_field(p: int, t: int, modulus: tuple[int, ...] | None = None) -> Field:
     Passing the default modulus explicitly and passing None hit the same cache
     entry, so Field identity can be relied on after serialization round trips.
     """
-    if not is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
-    if t < 1:
-        raise ValueError(f"t = {t} must be >= 1")
-    if p ** (2 * t) > MAX_FIELD_SIZE:
-        raise ValueError(f"field size {p ** (2 * t)} exceeds {MAX_FIELD_SIZE}")
+    _field_size(p, t)
     if modulus is None:
         modulus = _lex_smallest_irreducible(p, 2 * t)
     else:
@@ -385,17 +397,14 @@ def make_field(p: int, t: int, modulus: tuple[int, ...] | None = None) -> Field:
 
 def field_for_q(q: int) -> Field:
     """GF(q^2) for a prime power q, via the deterministic default modulus."""
-    for p in range(2, q + 1):
-        if is_prime(p) and q % p == 0:
-            t = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                t += 1
-            if m != 1:
-                break
-            return make_field(p, t)
-    raise ValueError(f"q = {q} is not a prime power")
+    factors = prime_factors(q) if q * q <= MAX_FIELD_SIZE else ()  # bounded trial division
+    if len(factors) != 1:
+        raise ValueError(f"q = {q} is not a prime power with q^2 <= {MAX_FIELD_SIZE}")
+    p = factors[0]
+    t = 1
+    while p**t != q:
+        t += 1
+    return make_field(p, t)
 
 
 # ---------------------------------------------------------------------------
@@ -421,7 +430,7 @@ def trace_q(x: FieldElem) -> FieldElem:
 def abs_trace(x: FieldElem) -> int:
     """Absolute trace GF(q) -> GF(p), returned as an integer in [0, p)."""
     f = x.field
-    if x.enc not in f._subfield_set:
+    if f._conj[x.enc] != x.enc:
         raise ValueError("abs_trace takes an element of the subfield GF(q)")
     acc = 0
     for i in range(f.t):
@@ -436,7 +445,7 @@ def is_square(x: FieldElem) -> bool:
     f = x.field
     if f.p == 2:
         raise ValueError("is_square is for odd q only")
-    if x.enc not in f._subfield_set:
+    if f._conj[x.enc] != x.enc:
         raise ValueError("is_square takes an element of the subfield GF(q)")
     if x.enc == 0:
         return True

@@ -2,22 +2,13 @@
 
 Matrices are tuples of row tuples of FieldElem.  Sizes here are tiny (at most
 a few hundred rows), so everything is straightforward Gaussian elimination.
+The per-point matrix-vector product of the hot loops runs on integer
+encodings instead (`Field.mat_vec_enc`); `mat_mul` is its FieldElem reference.
 """
 
 from __future__ import annotations
 
 from .finite_field import FieldElem
-
-
-def mat_vec(M, v):
-    field = v[0].field
-    out = []
-    for row in M:
-        acc = field.zero
-        for m, x in zip(row, v):
-            acc = acc + m * x
-        out.append(acc)
-    return tuple(out)
 
 
 def mat_mul(A, B):

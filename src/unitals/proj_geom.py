@@ -1,9 +1,11 @@
 """Points, subspaces, incidence matrices and collineations of PG(n, q^2).
 
-Projective points are normalized coordinate tuples of FieldElem (first nonzero
-coordinate scaled to 1).  The canonical point enumeration is ascending
-lexicographic order on the tuple of integer encodings; indices into that order
-are the currency of PointSet, incidence rows and all census code.
+Points are stored as normalized tuples of integer field encodings (first
+nonzero coordinate 1), enumerated in ascending lexicographic order.  So a
+point's index has a closed form, computed only by `_Space.index_of`: the count
+of points with more leading zeros plus the base-q^2 value of the tail after
+the leading 1.  These indices are the currency of PointSet, incidence rows
+and all census code; the FieldElem view of the points is built on first use.
 
 Subspaces are enumerated once per (n, r, field) through reduced-row-echelon
 pivot patterns, so every r-dimensional subspace (projective dimension r-1)
@@ -15,10 +17,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cache, cached_property, lru_cache
 
 from .finite_field import Field, FieldElem, make_field
-from .linalg import mat_det, mat_vec
+from .linalg import mat_det
 
 MAX_POINTS = 1 << 20
 
@@ -53,36 +55,50 @@ class _Space:
     def __init__(self, n: int, field: Field):
         if n < 1:
             raise ValueError(f"n = {n} must be >= 1")
-        count = (field.size ** (n + 1) - 1) // (field.size - 1)
-        if count > MAX_POINTS:
-            raise ValueError(f"PG({n}, {field.size}) has {count} points; too large")
+        Q = field.size
+        count = 1
+        for _ in range(n):  # 1 + Q + ... + Q^n by Horner; stops early on a huge n
+            count = count * Q + 1
+            if count > MAX_POINTS:
+                raise ValueError(f"PG({n}, {Q}) has more than {MAX_POINTS} points; too large")
         self.n = n
         self.field = field
+        self.count = count
+        # every member index is taken from this tuple, so equal indices share one int
+        self.ids = tuple(range(count))
+        # _offsets[j]: the number of points whose first nonzero coordinate lies after j
+        self._offsets = tuple((Q ** (n - j) - 1) // (Q - 1) for j in range(n + 1))
         pts = []
-        elems = field.elements
-        zero, one = field.zero, field.one
         for k in range(n, -1, -1):
-            prefix = (zero,) * k + (one,)
-            for tail in itertools.product(elems, repeat=n - k):
+            prefix = (0,) * k + (1,)
+            for tail in itertools.product(range(Q), repeat=n - k):
                 pts.append(prefix + tail)
         assert len(pts) == count
-        self.points: tuple[tuple[FieldElem, ...], ...] = tuple(pts)
-        self.index: dict[tuple[int, ...], int] = {
-            tuple(e.enc for e in pt): i for i, pt in enumerate(pts)
-        }
-        self._subspaces: dict[int, tuple] = {}
-        self._subspace_points: dict[int, tuple[tuple[int, ...], ...]] = {}
-        self._subspace_masks: dict[int, tuple[int, ...]] = {}
+        self.points: tuple[tuple[int, ...], ...] = tuple(pts)
 
-    def point_index(self, coords) -> int:
-        return self.index[tuple(e.enc for e in normalize_point(coords))]
+    @cached_property
+    def elem_points(self) -> tuple[tuple[FieldElem, ...], ...]:
+        elems = self.field.elements
+        return tuple(tuple(elems[e] for e in pt) for pt in self.points)
 
+    def index_of(self, encs) -> int:
+        """Canonical index of the point with these (any-scale) coordinate encodings."""
+        for j, lead in enumerate(encs):
+            if lead:
+                break
+        else:
+            raise ValueError("zero vector has no projective point")
+        if lead != 1:
+            inv, mul = self.field.inv_enc(lead), self.field.mul_enc
+            encs = [mul(x, inv) for x in encs]
+        Q, tail = self.field.size, 0
+        for x in encs[j + 1 :]:
+            tail = tail * Q + x
+        return self.ids[self._offsets[j] + tail]
+
+    # the per-r caches below live as long as the _Space, which _space keeps for the process
+    @cache
     def subspaces(self, r: int) -> tuple:
-        if r not in self._subspaces:
-            self._subspaces[r] = self._enum_subspaces(r)
-        return self._subspaces[r]
-
-    def _enum_subspaces(self, r: int) -> tuple:
         if not 1 <= r <= self.n:
             raise ValueError(f"r = {r} must lie in [1, {self.n}]")
         n1 = self.n + 1
@@ -108,34 +124,19 @@ class _Space:
         assert len(out) == gaussian_binomial(n1, r, field.size)
         return tuple(out)
 
+    @cache
     def subspace_point_indices(self, r: int) -> tuple[tuple[int, ...], ...]:
-        if r not in self._subspace_points:
-            subs = self.subspaces(r)
-            if r == 1:
-                coeff_pts = ((self.field.one,),)
-            else:
-                coeff_pts = _space(r - 1, self.field).points
-            all_ids = []
-            for basis in subs:
-                ids = []
-                for cvec in coeff_pts:
-                    coords = mat_vec(tuple(zip(*basis)), cvec)
-                    ids.append(self.point_index(coords))
-                ids.sort()
-                all_ids.append(tuple(ids))
-            self._subspace_points[r] = tuple(all_ids)
-        return self._subspace_points[r]
+        coeff_pts = ((1,),) if r == 1 else _space(r - 1, self.field).points
+        mat_vec, index_of = self.field.mat_vec_enc, self.index_of
+        all_ids = []
+        for basis in self.subspaces(r):
+            cols = tuple(zip(*((x.enc for x in row) for row in basis)))
+            all_ids.append(tuple(sorted([index_of(mat_vec(cols, c)) for c in coeff_pts])))
+        return tuple(all_ids)
 
+    @cache
     def subspace_masks(self, r: int) -> tuple[int, ...]:
-        if r not in self._subspace_masks:
-            self._subspace_masks[r] = tuple(
-                _mask_of(ids) for ids in self.subspace_point_indices(r)
-            )
-        return self._subspace_masks[r]
-
-    @cached_property
-    def line_count(self) -> int:
-        return gaussian_binomial(self.n + 1, 2, self.field.size)
+        return tuple(_mask_of(ids) for ids in self.subspace_point_indices(r))
 
 
 def _mask_of(ids) -> int:
@@ -155,13 +156,16 @@ def _space(n: int, field: Field) -> _Space:
 
 
 def enum_points(n: int, field: Field) -> tuple[tuple[FieldElem, ...], ...]:
-    """All points of PG(n, q^2), canonical (lexicographic) order."""
-    return _space(n, field).points
+    """All points of PG(n, q^2) as FieldElem tuples, canonical (lexicographic) order."""
+    return _space(n, field).elem_points
 
 
 def point_index(n: int, field: Field, coords) -> int:
     """Canonical index of the point with the given (any-scale) coordinates."""
-    return _space(n, field).point_index(coords)
+    encs = tuple(e.enc for e in coords)
+    if len(encs) != n + 1:
+        raise ValueError(f"a point of PG({n}, {field.size}) has {n + 1} coordinates")
+    return _space(n, field).index_of(encs)
 
 
 def enum_subspaces(n: int, r: int, field: Field) -> tuple:
@@ -202,7 +206,7 @@ def incidence_matrix(n: int, r: int, field: Field) -> IncidenceMatrix:
     """A_{r,1}: rows in enum_subspaces order, columns in enum_points order."""
     sp = _space(n, field)
     masks = sp.subspace_masks(r)
-    return IncidenceMatrix(n_rows=len(masks), n_cols=len(sp.points), rows=masks)
+    return IncidenceMatrix(n_rows=len(masks), n_cols=sp.count, rows=masks)
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +222,7 @@ class PointSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        count = len(_space(self.n, self.field).points)
+        count = _space(self.n, self.field).count
         last = -1
         for i in self.members:
             if i <= last or i >= count:
@@ -248,14 +252,13 @@ class PointSet:
         return PointSet.of(self.n, self.field, set(self.members) & set(other.members))
 
     def complement(self) -> PointSet:
-        total = len(_space(self.n, self.field).points)
         mem = set(self.members)
         return PointSet(
-            self.n, self.field, tuple(i for i in range(total) if i not in mem)
+            self.n, self.field, tuple(i for i in _space(self.n, self.field).ids if i not in mem)
         )
 
     def coords(self) -> tuple[tuple[FieldElem, ...], ...]:
-        pts = _space(self.n, self.field).points
+        pts = _space(self.n, self.field).elem_points
         return tuple(pts[i] for i in self.members)
 
     def to_json_dict(self) -> dict:
@@ -296,7 +299,7 @@ def _json_list(value, what: str) -> list:
 
 
 def all_points_set(n: int, field: Field) -> PointSet:
-    return PointSet(n, field, tuple(range(len(_space(n, field).points))))
+    return PointSet(n, field, _space(n, field).ids)
 
 
 # ---------------------------------------------------------------------------
@@ -305,15 +308,14 @@ def all_points_set(n: int, field: Field) -> PointSet:
 
 def line_through(n: int, field: Field, P, Q) -> PointSet:
     """The q^2+1 points of the line spanned by two distinct points."""
-    sp = _space(n, field)
     P = normalize_point(P)
     Q = normalize_point(Q)
     if P == Q:
         raise ValueError("line_through needs two distinct points")
-    ids = [sp.point_index(Q)]
+    ids = [point_index(n, field, Q)]
     for c in field.elements:
         coords = tuple(a + c * b for a, b in zip(P, Q))
-        ids.append(sp.point_index(coords))
+        ids.append(point_index(n, field, coords))
     assert len(set(ids)) == field.size + 1
     return PointSet.of(n, field, ids)
 
@@ -323,8 +325,8 @@ def apply_collineation(M, S: PointSet) -> PointSet:
     if not mat_det(M):
         raise ValueError("collineation matrix is singular")
     sp = _space(S.n, S.field)
-    pts = sp.points
-    ids = [sp.point_index(mat_vec(M, pts[i])) for i in S.members]
-    out = PointSet.of(S.n, S.field, ids)
+    pts, index_of, mat_vec = sp.points, sp.index_of, S.field.mat_vec_enc
+    M = tuple(tuple(x.enc for x in row) for row in M)
+    out = PointSet.of(S.n, S.field, [index_of(mat_vec(M, pts[i])) for i in S.members])
     assert len(out) == len(S)
     return out

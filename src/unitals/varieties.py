@@ -58,19 +58,18 @@ class HermitianForm:
     def is_nonsingular(self) -> bool:
         return bool(mat_det(self.matrix))
 
+    @cached_property
+    def _enc_matrix(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(tuple(x.enc for x in row) for row in self.matrix)
+
+    def _evaluate_enc(self, x) -> int:
+        """evaluate on encodings: the 1 x 1 product conj(x)^T (C x)."""
+        f = self.field
+        return f.mat_vec_enc((tuple(f._conj[e] for e in x),), f.mat_vec_enc(self._enc_matrix, x))[0]
+
     def evaluate(self, coords) -> FieldElem:
         """P^dagger C P; always lands in GF(q)."""
-        field = self.field
-        t = field.t
-        conj = [frobenius(x, t) for x in coords]
-        acc = field.zero
-        for i, row in enumerate(self.matrix):
-            ci = conj[i]
-            if ci:
-                for j, m in enumerate(row):
-                    if m and coords[j]:
-                        acc = acc + ci * m * coords[j]
-        return acc
+        return self.field.elem(self._evaluate_enc(tuple(x.enc for x in coords)))
 
     @staticmethod
     def identity(n: int, field: Field) -> HermitianForm:
@@ -86,11 +85,9 @@ def hermitian_variety(form: HermitianForm) -> PointSet:
     """All points P of PG(n, q^2) with form(P) = 0; form must be nonsingular."""
     if not form.is_nonsingular:
         raise ValueError("form is singular")
-    field = form.field
-    sp = _space(form.n, field)
-    zero = field.zero
-    ids = [i for i, pt in enumerate(sp.points) if form.evaluate(pt) == zero]
-    return PointSet(form.n, field, tuple(ids))
+    sp = _space(form.n, form.field)
+    ids = tuple(i for i, x in zip(sp.ids, sp.points) if not form._evaluate_enc(x))
+    return PointSet(form.n, form.field, ids)
 
 
 def _random_form_candidates(n: int, field: Field, rng: random.Random):
@@ -172,15 +169,15 @@ def bm_is_valid(params: BMParams) -> bool:
 
 def _bm_point_ids(field: Field, a: FieldElem, b: FieldElem) -> tuple[int, ...]:
     """Indices of U_{a,b} without any validity check (q^3+1 points always)."""
-    sp = _space(2, field)
+    index_of = _space(2, field).index_of
     q = field.q
-    index = sp.index
-    ids = [index[(0, 0, 1)]]
-    for y in field.elements:
-        base = a * y * y + b * y ** (q + 1)
-        for r_enc in field.subfield_encs:
-            z = field.add_enc(base.enc, r_enc)
-            ids.append(index[(1, y.enc, z)])
+    a, b = a.enc, b.enc
+    add, mul = field.add_enc, field.mul_enc
+    ids = [index_of((0, 0, 1))]
+    for y in range(field.size):
+        base = add(mul(a, mul(y, y)), mul(b, field.pow_enc(y, q + 1)))
+        for r in field.subfield_encs:
+            ids.append(index_of((1, y, add(base, r))))
     assert len(set(ids)) == q**3 + 1, "affine points collided"
     return tuple(sorted(ids))
 
@@ -344,7 +341,7 @@ def fit_hermitian_form(S: PointSet) -> HermitianForm | None:
     n = S.n
     p, t = field.p, field.t
     d = field.degree
-    pts = [_space(n, field).points[i] for i in S.members]
+    pts = S.coords()
 
     unknowns = []  # (i, j, elem) with j >= i; j == i means diagonal over GF(q)
     for i in range(n + 1):

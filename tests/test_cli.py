@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import unitals
 from unitals.cli import main
 
 
@@ -130,6 +135,31 @@ def test_verify_unital_malformed_input(tmp_path, capsys, case):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+HUGE_P = 1000000000000000003  # a prime; trial division up to its root never ends
+HUGE_INPUTS = {
+    "verify-unital huge p": ["verify-unital", "--in", "{huge_json}"],
+    "field-info huge p": ["field-info", "--p", str(HUGE_P), "--t", "1"],
+    "field-info huge q": ["field-info", "--q", "1000000007"],
+    "enum huge n": ["enum", "--q", "2", "--n", "1000000000", "--what", "points"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_INPUTS))
+def test_huge_inputs_exit_2_at_once(tmp_path, case):
+    """Size bounds are checked before any trial division or enumeration."""
+    huge_json = tmp_path / "huge.json"
+    huge_json.write_text(json.dumps({"n": 2, "p": HUGE_P, "t": 1, "members": [0]}))
+    argv = [a.format(huge_json=huge_json) for a in HUGE_INPUTS[case]]
+    src = str(Path(unitals.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "unitals.cli", *argv],
+        capture_output=True, text=True, timeout=5, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_invariants_with_snf(capsys):

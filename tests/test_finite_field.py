@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitals.finite_field import (
     FieldElem,
@@ -179,3 +180,18 @@ def test_generator_generates():
 
 def test_is_prime():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+# GF(37^2) has no addition table, so add_enc takes the digit-wise route there
+KERNEL_FIELDS = SMALL_FIELDS + [(3, 2), (2, 3), (37, 1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(pt=st.sampled_from(KERNEL_FIELDS), data=st.data())
+def test_kernel_matches_slow_reference(pt, data):
+    """The table-backed mul_enc/add_enc agree with polynomial and digit arithmetic."""
+    f = make_field(*pt)
+    a = data.draw(st.integers(0, f.size - 1))
+    b = data.draw(st.integers(0, f.size - 1))
+    assert f.mul_enc(a, b) == f._mul_slow(a, b)
+    assert f.add_enc(a, b) == f._add_digits(a, b)

@@ -2,9 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitals.finite_field import make_field
-from unitals.linalg import mat_det, mat_mul, mat_vec, nullspace_mod_p
+from unitals.linalg import mat_det, mat_mul, nullspace_mod_p
 
 
 def _random_matrix(field, n, rng):
@@ -18,11 +19,12 @@ def test_det_zero_iff_singular(p, t):
     """mat_det(m) == 0 exactly when m kills some nonzero vector, by brute force."""
     f = make_field(p, t)  # GF(9), GF(4)
     rng = random.Random(7)
-    vectors = [v for v in itertools.product(f.elements, repeat=3) if any(v)]
+    vectors = [v for v in itertools.product(range(f.size), repeat=3) if any(v)]
     singular = invertible = 0
     for _ in range(40):
         m = _random_matrix(f, 3, rng)
-        kills = any(not any(mat_vec(m, v)) for v in vectors)
+        enc = tuple(tuple(x.enc for x in row) for row in m)
+        kills = any(not any(f.mat_vec_enc(enc, v)) for v in vectors)
         assert (mat_det(m) == f.zero) == kills
         singular += kills
         invertible += not kills
@@ -38,13 +40,20 @@ def test_det_multiplicative():
         assert mat_det(mat_mul(a, b)) == mat_det(a) * mat_det(b)
 
 
-def test_mat_vec_matches_mat_mul():
-    f = make_field(2, 2)
-    rng = random.Random(3)
-    m = _random_matrix(f, 3, rng)
-    v = [f.elem(rng.randrange(f.size)) for _ in range(3)]
-    col = tuple((x,) for x in v)
-    assert tuple((y,) for y in mat_vec(m, v)) == mat_mul(m, col)
+# GF(37^2) has no addition table, so it takes the digit-wise addition route
+@settings(max_examples=60, deadline=None)
+@given(pt=st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (37, 1)]), data=st.data())
+def test_mat_vec_matches_mat_mul(pt, data):
+    """Field.mat_vec_enc on encodings equals the FieldElem product mat_mul(M, v)."""
+    f = make_field(*pt)
+    rows = data.draw(st.integers(1, 4))
+    cols = data.draw(st.integers(1, 4))
+    elem = st.integers(0, f.size - 1)
+    m = data.draw(st.lists(st.lists(elem, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    v = data.draw(st.lists(elem, min_size=cols, max_size=cols))
+    col = tuple((f.elem(x),) for x in v)
+    want = tuple(y.enc for (y,) in mat_mul(tuple(tuple(map(f.elem, row)) for row in m), col))
+    assert f.mat_vec_enc(m, v) == want
 
 
 def test_nullspace_mod_p():

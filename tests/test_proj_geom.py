@@ -2,10 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitals.finite_field import field_for_q, make_field
 from unitals.proj_geom import (
     PointSet,
+    _space,
     all_points_set,
     apply_collineation,
     enum_points,
@@ -54,6 +56,20 @@ def test_point_enumeration(n, q, npoints):
     # scaling does not change the index
     g = f.gen
     assert point_index(n, f, tuple(g * x for x in pts[5])) == 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    case=st.sampled_from([(1, 2, 1), (1, 5, 1), (2, 2, 1), (2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1), (3, 3, 1)]),
+    data=st.data(),
+)
+def test_index_of_any_scaling_is_the_enumeration_position(case, data):
+    n, p, t = case
+    f = make_field(p, t)
+    pts = enum_points(n, f)
+    i = data.draw(st.integers(0, len(pts) - 1))
+    scale = f.elem(data.draw(st.integers(1, f.size - 1)))
+    assert _space(n, f).index_of(tuple((scale * x).enc for x in pts[i])) == i
 
 
 def test_point_order_is_lexicographic():

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from unitals.finite_field import field_for_q, make_field
+from unitals.finite_field import field_for_q, frobenius, make_field
+from unitals.linalg import mat_mul
 from unitals.proj_geom import PointSet, all_points_set, enum_points
 from unitals.varieties import (
     BMParams,
@@ -54,6 +56,27 @@ def test_hermitian_variety_rejects_singular():
     assert not singular.is_nonsingular
     with pytest.raises(ValueError):
         hermitian_variety(singular)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    case=st.sampled_from([(1, 3, 1), (2, 2, 1), (2, 3, 1), (2, 2, 2), (3, 2, 1)]),
+    seed=st.integers(0, 10**6),
+    data=st.data(),
+)
+def test_evaluate_matches_mat_mul_reference(case, seed, data):
+    """evaluate(x) = conj(x)^T C x, and hermitian_variety holds exactly its zeros."""
+    n, p, t = case
+    f = make_field(p, t)
+    form = random_hermitian_form(n, f, seed)
+    pts = enum_points(n, f)
+    i = data.draw(st.integers(0, len(pts) - 1))
+    scale = f.elem(data.draw(st.integers(1, f.size - 1)))
+    x = tuple(scale * c for c in pts[i])
+    conj_row = (tuple(frobenius(c, t) for c in x),)
+    want = mat_mul(conj_row, mat_mul(form.matrix, tuple((c,) for c in x)))[0][0]
+    assert form.evaluate(x) == want
+    assert (i in hermitian_variety(form)) == (want == f.zero)
 
 
 def test_random_hermitian_form_deterministic():
