@@ -28,12 +28,7 @@ from .census import (
 )
 from .finite_field import field_for_q, make_field
 from .galois_ring import herm_char_value, make_ring
-from .padic_invariants import (
-    enum_basis_monomials,
-    monomial_invariant_exponent,
-    snf_valuation_multiset,
-    type_of,
-)
+from .padic_invariants import _snf_certified, enum_basis_monomials, monomial_invariant_exponent, type_of
 from .proj_geom import PointSet, enum_points, enum_subspaces, incidence_matrix, subspace_member_indices
 from .varieties import (
     BMParams,
@@ -119,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("invariants", help="monomial invariant table for A_{r,1}")
     _add_field_flags(sp, need_n=True)
     sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--verify-snf", action="store_true", help="cross-check with the exact SNF oracle")
+    sp.add_argument("--verify-snf", action="store_true", help="cross-check with the certified SNF oracle")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_invariants)
 
@@ -254,7 +249,8 @@ def cmd_invariants(args) -> int:
     result["formula_multiset"] = _multiset(formula)
     if args.verify_snf:
         dense = incidence_matrix(n, r, field).to_dense()
-        snf = snf_valuation_multiset(dense, p)
+        snf, k = _snf_certified(dense, p)
+        print(f"snf oracle certified modulo {p}^{k}", file=sys.stderr)
         result["snf_multiset"] = _multiset(snf)
         result["multisets_equal"] = list(snf) == formula
         if not result["multisets_equal"]:

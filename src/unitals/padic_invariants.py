@@ -18,18 +18,20 @@ simplest examples).
 
 The p-exponent of the elementary divisor attached to a monomial with type s
 is sum_j max(0, r - s_j); the constant monomial contributes exponent 0.  The
-independent trust anchor is snf_valuation_multiset, an exact Smith-normal-form
-elimination over the localization Z_(p) (Fraction arithmetic, pivots of
-minimal p-valuation, no modular shortcuts).
+independent trust anchor is snf_valuation_multiset, an elimination over Z/p^k
+that never reads the formula.  It is exact: divisors of valuation below k are
+found exactly, and k doubles until all min(rows, cols) are found or p^k passes
+the Hadamard bound, beyond which no nonzero divisor can lie.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
+import math
 from typing import NamedTuple
 
 from .finite_field import Field
+from .proj_geom import point_count
 
 
 def digit_sum(u: int, p: int) -> int:
@@ -81,13 +83,20 @@ def multinomial_val(total: int, parts, p: int) -> int:
 
 
 def enum_basis_monomials(n: int, field: Field) -> tuple[tuple[int, ...], ...]:
-    """All (b_0..b_n), 0 <= b_i <= q^2-1, (q^2-1) | sum, all-(q^2-1) dropped."""
+    """All (b_0..b_n), 0 <= b_i <= q^2-1, (q^2-1) | sum, all-(q^2-1) dropped.
+
+    Lexicographic order.  There are as many as PG(n, q^2) has points, so the
+    same size bound applies before anything is built; b_n is solved from the
+    other exponents rather than searched for.
+    """
+    point_count(n, field.size)
     m = field.size - 1
-    out = [
-        b
-        for b in itertools.product(range(field.size), repeat=n + 1)
-        if sum(b) % m == 0
-    ]
+    out = []
+    for head in itertools.product(range(field.size), repeat=n):
+        last = -sum(head) % m
+        out.append(head + (last,))
+        if not last:
+            out.append(head + (m,))
     out.remove((m,) * (n + 1))
     return tuple(out)
 
@@ -140,69 +149,74 @@ def monomial_invariant_exponent(m: tuple[int, ...], p: int, t: int, r: int) -> i
 
 
 # ---------------------------------------------------------------------------
-# exact Smith-normal-form oracle over Z_(p)
+# Smith-normal-form oracle: local elimination over Z/p^k with a certificate
+
+# The first precision; p^8 certifies every incidence matrix of PG(2,4) to
+# PG(2,25) and PG(3,4) in one pass.
+_SNF_START_K = 8
 
 
 def snf_valuation_multiset(matrix, p: int) -> tuple[int, ...]:
     """Sorted p-adic valuations of the nonzero elementary divisors of matrix.
 
-    Exact elimination over the localization of Z at p: each step pivots on an
-    entry of minimal p-valuation (its valuation is the next divisor's), then
-    clears its row and column with unimodular-over-Z_(p) operations.  All
-    arithmetic is exact rational; nothing is reduced mod p^k.
+    The integer matrix is eliminated over Z/p^k (see _snf_mod_pk).  Every
+    divisor of valuation below k is found exactly, and a divisor of valuation
+    k or more, or a zero divisor, looks like 0.  The result is certified when
+    either the divisors found number min(rows, cols), so none is left, or
+    p^(2k) exceeds the product H^2 of the squared norms of the min(rows, cols)
+    largest rows: a nonzero divisor divides a nonzero minor, whose absolute
+    value is at most H (Hadamard), so none has valuation k or more.  Otherwise
+    k doubles.
     """
+    return _snf_certified(matrix, p)[0]
 
-    def vp(x: Fraction) -> int:
-        num = x.numerator
-        den = x.denominator
-        v = 0
-        while num % p == 0:
-            num //= p
-            v += 1
-        while den % p == 0:
-            den //= p
-            v -= 1
-        return v
 
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    vals: list[int] = []
-    live_rows = list(range(len(rows)))
-    live_cols = list(range(len(rows[0]))) if rows else []
-    while live_rows and live_cols:
-        best = None
-        best_v = None
-        for ri in live_rows:
-            row = rows[ri]
-            for ci in live_cols:
-                x = row[ci]
-                if x:
-                    v = vp(x)
-                    if best_v is None or v < best_v:
-                        best_v = v
-                        best = (ri, ci)
-                        if v == 0:
-                            break
-            if best_v == 0:
-                break
-        if best is None:
-            break  # remaining block is zero
-        pi, pj = best
-        pivot = rows[pi][pj]
-        vals.append(best_v)
-        for ri in live_rows:
-            if ri == pi:
-                continue
-            x = rows[ri][pj]
+def _snf_certified(matrix, p: int) -> tuple[tuple[int, ...], int]:
+    """(snf_valuation_multiset(matrix, p), the k whose modulus p^k certified it)."""
+    rows = [row for row in matrix if any(row)]
+    full_rank = min(len(rows), len(rows[0])) if rows else 0
+    hadamard_sq = math.prod(sorted((sum(x * x for x in row) for row in rows), reverse=True)[:full_rank])
+    k = _SNF_START_K
+    while True:
+        vals = _snf_mod_pk(rows, p, k)
+        if len(vals) == full_rank or p ** (2 * k) > hadamard_sq:
+            return vals, k
+        k *= 2
+
+
+def _snf_mod_pk(matrix, p: int, k: int) -> tuple[int, ...]:
+    """Sorted valuations below k of the elementary divisors, over Z/p^k.
+
+    Each step pivots on an entry p^v * u (u a unit) of minimal valuation v,
+    clears its column with factor (x // p^v) * u^-1 mod p^(k-v), then drops
+    the pivot row, the pivot column and any row that became zero.
+    """
+    M = p**k
+    rows = [r for r in ([x % M for x in row] for row in matrix) if any(r)]
+    vals = []
+    v, pv = 0, 1  # every live entry is divisible by pv = p^v
+    while rows:
+        pv1 = pv * p
+        pivot = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x % pv1), None)
+        if pivot is None:
+            v, pv = v + 1, pv1
+            continue
+        i, j = pivot
+        prow = rows.pop(i)
+        mod = M // pv
+        inv = pow(prow.pop(j) // pv, -1, mod)
+        vals.append(v)
+        live = []
+        for row in rows:
+            x = row.pop(j)
             if x:
-                f = x / pivot
-                prow = rows[pi]
-                row = rows[ri]
-                for ci in live_cols:
-                    if prow[ci]:
-                        row[ci] -= f * prow[ci]
-        live_rows.remove(pi)
-        live_cols.remove(pj)
-    return tuple(sorted(vals))
+                f = (x // pv) * inv % mod
+                row = [(a - f * b) % M for a, b in zip(row, prow)]
+                if not any(row):
+                    continue
+            live.append(row)
+        rows = live
+    return tuple(vals)
 
 
 # ---------------------------------------------------------------------------

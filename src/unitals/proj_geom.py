@@ -25,6 +25,16 @@ from .linalg import mat_det
 MAX_POINTS = 1 << 20
 
 
+def point_count(n: int, Q: int) -> int:
+    """1 + Q + ... + Q^n, the points of PG(n, Q); ValueError above MAX_POINTS."""
+    count = 1
+    for _ in range(n):  # Horner's rule; stops early on a huge n
+        count = count * Q + 1
+        if count > MAX_POINTS:
+            raise ValueError(f"PG({n}, {Q}) has more than {MAX_POINTS} points; too large")
+    return count
+
+
 def gaussian_binomial(m: int, r: int, Q: int) -> int:
     """Number of r-dimensional subspaces of an m-dimensional space over GF(Q)."""
     num = 1
@@ -56,11 +66,7 @@ class _Space:
         if n < 1:
             raise ValueError(f"n = {n} must be >= 1")
         Q = field.size
-        count = 1
-        for _ in range(n):  # 1 + Q + ... + Q^n by Horner; stops early on a huge n
-            count = count * Q + 1
-            if count > MAX_POINTS:
-                raise ValueError(f"PG({n}, {Q}) has more than {MAX_POINTS} points; too large")
+        count = point_count(n, Q)
         self.n = n
         self.field = field
         self.count = count

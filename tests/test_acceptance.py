@@ -107,11 +107,15 @@ def test_criterion_3_kestenband_sizes(acceptance):
 
 
 def test_criterion_4_snf_oracle_equivalence(acceptance):
-    frozen = {2: {0: 10, 1: 2, 2: 9}, 3: {0: 37, 1: 18, 2: 36}}
+    frozen = {
+        2: {0: 10, 1: 2, 2: 9},
+        3: {0: 37, 1: 18, 2: 36},
+        4: {0: 82, 1: 36, 2: 38, 3: 36, 4: 81},
+    }
     t0 = time.perf_counter()
     details = []
     ok = True
-    for q in (2, 3):
+    for q in (2, 3, 4):
         f = field_for_q(q)
         formula = sorted(
             monomial_invariant_exponent(m, f.p, f.t, 2)

@@ -143,6 +143,8 @@ HUGE_INPUTS = {
     "field-info huge p": ["field-info", "--p", str(HUGE_P), "--t", "1"],
     "field-info huge q": ["field-info", "--q", "1000000007"],
     "enum huge n": ["enum", "--q", "2", "--n", "1000000000", "--what", "points"],
+    "enum monomials huge n": ["enum", "--q", "2", "--n", "1000000000", "--what", "monomials"],
+    "invariants huge n": ["invariants", "--q", "2", "--n", "1000000000", "--r", "2"],
 }
 
 
@@ -163,8 +165,9 @@ def test_huge_inputs_exit_2_at_once(tmp_path, case):
 
 
 def test_invariants_with_snf(capsys):
-    code, out, _ = run(capsys, "invariants", "--q", "2", "--r", "2", "--verify-snf")
+    code, out, err = run(capsys, "invariants", "--q", "2", "--r", "2", "--verify-snf")
     assert code == 0
+    assert err == "snf oracle certified modulo 2^8\n"
     data = json.loads(out)
     assert data["formula_multiset"] == {"0": 10, "1": 2, "2": 9}
     assert data["snf_multiset"] == data["formula_multiset"]

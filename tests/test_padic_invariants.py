@@ -1,6 +1,9 @@
+import itertools
 from collections import Counter
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitals.finite_field import field_for_q, make_field
 from unitals.padic_invariants import (
@@ -15,7 +18,40 @@ from unitals.padic_invariants import (
     type_of,
     val_p,
 )
-from unitals.proj_geom import incidence_matrix
+from unitals.proj_geom import MAX_POINTS, incidence_matrix
+
+
+def _fraction_snf(matrix, p: int) -> tuple[int, ...]:
+    """Reference oracle: exact elimination over Z_(p) in Fraction arithmetic.
+
+    Each step pivots on an entry of minimal p-valuation (its valuation is the
+    next divisor's) and clears its column; nothing is reduced mod p^k.  Its
+    entries grow, so it serves only small matrices.
+    """
+
+    def vp(x: Fraction) -> int:
+        return val_p(x.numerator, p) - val_p(x.denominator, p)
+
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    vals: list[int] = []
+    live_rows = list(range(len(rows)))
+    live_cols = list(range(len(rows[0]))) if rows else []
+    while live_rows and live_cols:
+        nonzero = [(vp(rows[ri][ci]), ri, ci) for ri in live_rows for ci in live_cols if rows[ri][ci]]
+        if not nonzero:
+            break  # remaining block is zero
+        v, pi, pj = min(nonzero)
+        vals.append(v)
+        prow = rows[pi]
+        for ri in live_rows:
+            if ri != pi and rows[ri][pj]:
+                f = rows[ri][pj] / prow[pj]
+                row = rows[ri]
+                for ci in live_cols:
+                    row[ci] -= f * prow[ci]
+        live_rows.remove(pi)
+        live_cols.remove(pj)
+    return tuple(sorted(vals))
 
 
 def test_digit_sum_and_val():
@@ -59,18 +95,23 @@ def test_enum_basis_monomials(q):
     m = f.size - 1
     assert (0, 0, 0) in mons
     assert (m, m, m) not in mons
-    for b in mons:
-        assert sum(b) % m == 0
-        assert all(0 <= x <= m for x in b)
-    # the count matches a direct filter
-    expect = sum(
-        1
-        for b0 in range(f.size)
-        for b1 in range(f.size)
-        for b2 in range(f.size)
-        if (b0 + b1 + b2) % m == 0
-    ) - 1
-    assert len(mons) == expect
+    # the same tuples, in the same order, as a filter over all exponent tuples
+    for n in (1, 2, 3):
+        expect = [
+            b
+            for b in itertools.product(range(f.size), repeat=n + 1)
+            if sum(b) % m == 0 and b != (m,) * (n + 1)
+        ]
+        assert list(enum_basis_monomials(n, f)) == expect
+        # as many basis monomials as PG(n, q^2) has points
+        assert len(expect) == (f.size ** (n + 1) - 1) // (f.size - 1)
+
+
+def test_enum_basis_monomials_size_bound():
+    with pytest.raises(ValueError, match=f"more than {MAX_POINTS} points"):
+        enum_basis_monomials(10**9, field_for_q(2))
+    with pytest.raises(ValueError, match=f"more than {MAX_POINTS} points"):
+        enum_basis_monomials(2, field_for_q(32))
 
 
 def test_type_of_known_example():
@@ -122,12 +163,59 @@ def test_snf_small_matrices():
     assert snf_valuation_multiset([[1, 0], [0, 1]], 2) == (0, 0)
     assert snf_valuation_multiset([[2, 0], [0, 4]], 2) == (1, 2)
     assert snf_valuation_multiset([[0, 0], [0, 0]], 2) == ()
+    assert snf_valuation_multiset([], 2) == ()
     # row operations do not change the multiset
     assert snf_valuation_multiset([[2, 6], [0, 4]], 2) == (1, 2)
     # rank deficiency drops a divisor
     assert snf_valuation_multiset([[1, 2], [2, 4]], 3) == (0,)
     # odd entries are units in Z_(2)
     assert snf_valuation_multiset([[3, 0], [0, 5]], 2) == (0, 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_snf_divisors_beyond_the_first_precision(p):
+    """Divisors of valuation 8 or more are found only after k doubles."""
+    assert snf_valuation_multiset([[1, 0], [0, p**10]], p) == (0, 10)
+    assert snf_valuation_multiset([[p**8, 0], [0, p**20]], p) == (8, 20)
+    assert snf_valuation_multiset([[p**9, p**9], [p**9, p**9 + p**40]], p) == (9, 40)
+    # a tall matrix: full rank is the column count
+    assert snf_valuation_multiset([[p**12], [0], [3 * p**12]], p) == (12,)
+    # one divisor near the Hadamard bound: stopping before p^(2k) > H^2 loses it
+    assert snf_valuation_multiset([[0, p**10, 0], [0, 0, 0]], p) == (10,)
+    # rank deficient with a large divisor: the Hadamard bound ends the doubling
+    big = [[1, 0, 0], [0, p**30, 0], [1, p**30, 0]]
+    assert snf_valuation_multiset(big, p) == (0, 30)
+    assert snf_valuation_multiset(big, p) == _fraction_snf(big, p)
+
+
+@st.composite
+def _integer_matrices(draw):
+    """Up to 8x8, entries in [-p^3, p^3], with zero, dependent and p-divisible rows mixed in."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n_rows = draw(st.integers(1, 8))
+    n_cols = draw(st.integers(1, 8))
+    entry = st.integers(-(p**3), p**3)
+    rows = [draw(st.lists(entry, min_size=n_cols, max_size=n_cols)) for _ in range(n_rows)]
+    for i in range(n_rows):
+        kind = draw(st.sampled_from(["keep", "keep", "zero", "copy", "negate", "p_divisible"]))
+        j = draw(st.integers(0, n_rows - 1))
+        if kind == "zero":
+            rows[i] = [0] * n_cols
+        elif kind == "copy":
+            rows[i] = list(rows[j])
+        elif kind == "negate":
+            rows[i] = [-x for x in rows[j]]
+        elif kind == "p_divisible":  # pivots of valuation 1 or more
+            small = draw(st.lists(st.integers(-(p**2), p**2), min_size=n_cols, max_size=n_cols))
+            rows[i] = [p * x for x in small]
+    return p, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_integer_matrices())
+def test_snf_matches_fraction_reference(case):
+    p, rows = case
+    assert snf_valuation_multiset(rows, p) == _fraction_snf(rows, p)
 
 
 @pytest.mark.parametrize(
@@ -137,19 +225,30 @@ def test_snf_small_matrices():
 def test_snf_matches_type_formula(q, expected):
     """The SNF of the line-point incidence matrix of PG(2,q^2) over Z_(p).
 
-    The expected multisets were computed by the exact fraction-free
-    elimination below and cross-checked against the monomial-type formula
-    with r = 2; keeping them frozen here guards both routes at once.
+    The expected multisets were computed by the exact Fraction elimination
+    and cross-checked against the monomial-type formula with r = 2; keeping
+    them frozen here guards both routes at once.
     """
     f = field_for_q(q)
     A = incidence_matrix(2, 2, f).to_dense()
     vals = snf_valuation_multiset(A, f.p)
     assert dict(Counter(vals)) == expected
+    assert vals == _fraction_snf(A, f.p)
     formula = Counter(
         monomial_invariant_exponent(m, f.p, f.t, 2)
         for m in enum_basis_monomials(2, f)
     )
     assert dict(formula) == expected
+
+
+@pytest.mark.slow
+def test_snf_matches_type_formula_pg_2_25():
+    """The 651 x 651 line-point incidence matrix of PG(2,25), about 15 s."""
+    f = field_for_q(5)
+    vals = snf_valuation_multiset(incidence_matrix(2, 2, f).to_dense(), f.p)
+    formula = sorted(monomial_invariant_exponent(m, f.p, f.t, 2) for m in enum_basis_monomials(2, f))
+    assert list(vals) == formula
+    assert dict(Counter(vals)) == {0: 226, 1: 200, 2: 225}
 
 
 def test_theta_bound():
