@@ -1,10 +1,17 @@
 """Command-line front end.
 
 Subcommands: field-info, enum, make-unital, verify-unital, invariants,
-census, charfn-check.  Exit code 0 means every assertion passed, 1 means an
-assertion failed (the first failing census record is printed to stderr), and
-2 means unusable flags, invalid construction parameters or a malformed input
-file.
+census, charfn-check.  Exit codes:
+
+  0  every assertion passed;
+  1  a mathematical check failed and the report says so (the first failing
+     census record is printed to stderr);
+  2  unusable flags, invalid construction parameters or a malformed input
+     file (one `error:` line on stderr);
+  3  an internal error: a consistency check of the library itself fired, e.g.
+     the two intersection routes disagree, the blocks of a unital do not form
+     a design, or a Galois-ring iteration did not converge (one
+     `internal error:` line on stderr, no traceback).
 
 Reports go to --out when given, else to stdout; diagnostics go to stderr.
 Identical invocations produce byte-identical report files.
@@ -332,6 +339,10 @@ def main(argv=None) -> int:
     except (_Usage, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except Exception as e:
+        detail = " ".join(str(e).split())
+        print(f"internal error: {type(e).__name__}" + (f": {detail}" if detail else ""), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

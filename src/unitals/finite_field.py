@@ -331,6 +331,23 @@ class Field:
             out.append(acc)
         return tuple(out)
 
+    def add_row_enc(self, b: int, xs: list[int]) -> list[int]:
+        """[b + x for x in xs] on encodings, one add-table row per call; xs itself when b = 0."""
+        if b == 0:
+            return xs
+        if self.p == 2:
+            return [b ^ x for x in xs]
+        if self._add_table is not None:
+            return list(map(self._add_table[b].__getitem__, xs))
+        return [self._add_digits(b, x) for x in xs]
+
+    def multiples_enc(self, x: int) -> list[int]:
+        """c*x for c = 0, g^0, g^1, ..., g^(size-2): 0, then _exp rotated by log x."""
+        if x == 0:
+            return [0] * self.size
+        lx = self._log[x]
+        return [0, *self._exp[lx:], *self._exp[:lx]]
+
     def frob_enc(self, a: int, k: int) -> int:
         if k < 0:
             raise ValueError("frobenius power must be >= 0")

@@ -2,14 +2,22 @@
 
 Points are stored as normalized tuples of integer field encodings (first
 nonzero coordinate 1), enumerated in ascending lexicographic order.  So a
-point's index has a closed form, computed only by `_Space.index_of`: the count
-of points with more leading zeros plus the base-q^2 value of the tail after
-the leading 1.  These indices are the currency of PointSet, incidence rows
-and all census code; the FieldElem view of the points is built on first use.
+point's index has a closed form, computed by `_Space.index_of` for any scaling
+of its coordinates: the count of points with more leading zeros plus the
+base-q^2 value of the tail after the leading 1.  These indices are the
+currency of PointSet, incidence rows and all census code; the FieldElem view
+of the points is built on first use.
 
 Subspaces are enumerated once per (n, r, field) through reduced-row-echelon
 pivot patterns, so every r-dimensional subspace (projective dimension r-1)
-appears exactly once, in a deterministic order.  Incidence rows are bit-packed
+appears exactly once, in a deterministic order.  Their point indices are read
+off the RREF basis B (pivots p_0 < ... < p_{r-1}) without normalizing: the
+points are B[k] + span(B[k+1:]) for k = r-1, ..., 0, each already normalized
+because B[k] has its leading 1 at p_k and every later row is 0 up to and at
+p_k.  So a point's index is the offset of p_k plus the base-q^2 value of
+its coordinates after p_k, and the coordinates of the whole span are built
+column by column from rotated exp-table rows (the multiples c*x) and one
+add-table row per entry (XOR when p = 2).  Incidence rows are bit-packed
 into Python integers; popcounts of mask ANDs are the fast intersection path.
 """
 
@@ -132,12 +140,30 @@ class _Space:
 
     @cache
     def subspace_point_indices(self, r: int) -> tuple[tuple[int, ...], ...]:
-        coeff_pts = ((1,),) if r == 1 else _space(r - 1, self.field).points
-        mat_vec, index_of = self.field.mat_vec_enc, self.index_of
+        field, n1 = self.field, self.n + 1
+        add_row, multiples, offsets = field.add_row_enc, field.multiples_enc, self._offsets
+        weights = [field.size ** (self.n - j) for j in range(n1)]
         all_ids = []
         for basis in self.subspaces(r):
-            cols = tuple(zip(*((x.enc for x in row) for row in basis)))
-            all_ids.append(tuple(sorted([index_of(mat_vec(cols, c)) for c in coeff_pts])))
+            ids = []
+            # span[j]: coordinate j of each of the `size` vectors of span(basis[k+1:]), for
+            # j >= nxt, the pivot of basis[k+1]; every span coordinate before nxt is 0
+            span, nxt, size = {}, n1, 1
+            for k in range(r - 1, -1, -1):
+                row = [x.enc for x in basis[k]]
+                pk = row.index(1)
+                # the points row + span: coordinates pk+1 .. nxt-1 are those of row alone
+                part = [offsets[pk] + sum(row[j] * weights[j] for j in range(pk + 1, nxt))] * size
+                for j in range(nxt, n1):
+                    w = weights[j]
+                    part = [i + w * v for i, v in zip(part, add_row(row[j], span[j]))]
+                ids += part
+                if k:  # span(basis[k:]): vector m*Q + c is span vector m plus the c-th multiple of row
+                    for j in range(pk, n1):
+                        cx = multiples(row[j])
+                        span[j] = cx * size if j < nxt else [y for s in span[j] for y in add_row(s, cx)]
+                    nxt, size = pk, size * field.size
+            all_ids.append(tuple(sorted(ids)))
         return tuple(all_ids)
 
     @cache

@@ -24,7 +24,7 @@ from functools import cached_property
 
 from .finite_field import Field, FieldElem, abs_trace, frobenius, is_square
 from .linalg import mat_det, nullspace_mod_p
-from .proj_geom import PointSet, _space
+from .proj_geom import PointSet, _mask_of, _space
 
 _FIT_ENUM_LIMIT = 1 << 20
 
@@ -267,28 +267,43 @@ def blocks_of(S: PointSet) -> tuple[tuple[int, ...], ...]:
     check = is_unital_embedded(S)
     if not check.ok:
         raise ValueError(f"not a unital: profile {check.profile}, size {check.size}")
-    field = S.field
-    q = field.q
-    sp = _space(2, field)
+    q = S.field.q
+    sp = _space(2, S.field)
     smask = S.mask
-    blocks = []
-    for ids, lm in zip(sp.subspace_point_indices(2), sp.subspace_masks(2)):
-        if (lm & smask).bit_count() == q + 1:
-            blocks.append(tuple(i for i in ids if smask & (1 << i)))
-    v = q**3 + 1
-    if len(blocks) != q * q * (q * q - q + 1):
+    members = set(S.members)
+    blocks = tuple(
+        tuple(i for i in ids if i in members)
+        for ids, lm in zip(sp.subspace_point_indices(2), sp.subspace_masks(2))
+        if (lm & smask).bit_count() == q + 1
+    )
+    _check_design(S.members, blocks, q + 1, q * q * (q * q - q + 1))
+    return blocks
+
+
+def _check_design(points, blocks, k: int, b: int) -> None:
+    """AssertionError unless the b blocks of k points cover every pair of points once.
+
+    One coverage bitmask per point, indexed by position in `points`: seen[i]
+    has a bit for every point that already shares a block with point i.
+    """
+    if len(blocks) != b:
         raise AssertionError("secant count off")
-    seen = set()
+    pos = {x: i for i, x in enumerate(points)}
+    seen = [0] * len(points)
     for blk in blocks:
-        if len(blk) != q + 1:
+        if len(blk) != k:
             raise AssertionError("block size off")
-        for pair in itertools.combinations(blk, 2):
-            if pair in seen:
+        at = [pos[x] for x in blk]
+        m = _mask_of(at)
+        for i in at:
+            twice = seen[i] & (m ^ (1 << i))
+            if twice:
+                pair = tuple(sorted((points[i], points[(twice & -twice).bit_length() - 1])))
                 raise AssertionError(f"pair {pair} covered twice")
-            seen.add(pair)
-    if len(seen) != v * (v - 1) // 2:
+            seen[i] |= m
+    full = (1 << len(points)) - 1
+    if any(s != full for s in seen):
         raise AssertionError("pair coverage incomplete")
-    return tuple(blocks)
 
 
 def check_property_I(S: PointSet, r: int, beta: int) -> bool:

@@ -164,6 +164,53 @@ def test_huge_inputs_exit_2_at_once(tmp_path, case):
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
+def _break_mask(monkeypatch):
+    from unitals.proj_geom import PointSet
+
+    monkeypatch.setattr(PointSet, "mask", property(lambda self: 0))
+
+
+def _miscount_secants(monkeypatch):
+    from unitals import varieties
+
+    check = varieties._check_design
+    monkeypatch.setattr(varieties, "_check_design", lambda pts, blocks, k, b: check(pts, blocks, k, b + 1))
+
+
+def _stall_hensel(monkeypatch):
+    from unitals.galois_ring import GaloisRingElem
+
+    monkeypatch.setattr(GaloisRingElem, "__eq__", lambda self, other: False)
+
+
+# (how to make an internal consistency check fire, argv, the message it raises)
+INTERNAL_ERRORS = {
+    "intersection routes": (
+        _break_mask, ["census", "--kind", "kestenband", "--q", "2", "--samples", "3"],
+        "AssertionError: intersection routes disagree",
+    ),
+    "blocks design": (
+        _miscount_secants, ["verify-unital", "--in", "{unital}"], "AssertionError: secant count off",
+    ),
+    "hensel convergence": (
+        _stall_hensel, ["charfn-check", "--q", "2"], "AssertionError: Hensel iteration failed to converge",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INTERNAL_ERRORS))
+def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch, case):
+    """A library consistency check that fires is exit 3, apart from a failed check (1) or bad input (2)."""
+    unital = tmp_path / "u.json"
+    assert main(["make-unital", "--q", "3", "--kind", "hermitian", "--out", str(unital)]) == 0
+    patch, argv, message = INTERNAL_ERRORS[case]
+    patch(monkeypatch)
+    code, out, err = run(capsys, *[a.format(unital=unital) for a in argv])
+    assert code == 3
+    assert out == ""
+    assert err == f"internal error: {message}\n"
+
+
 def test_invariants_with_snf(capsys):
     code, out, err = run(capsys, "invariants", "--q", "2", "--r", "2", "--verify-snf")
     assert code == 0

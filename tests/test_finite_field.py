@@ -195,3 +195,16 @@ def test_kernel_matches_slow_reference(pt, data):
     b = data.draw(st.integers(0, f.size - 1))
     assert f.mul_enc(a, b) == f._mul_slow(a, b)
     assert f.add_enc(a, b) == f._add_digits(a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pt=st.sampled_from(KERNEL_FIELDS), data=st.data())
+def test_row_kernels_match_add_and_mul(pt, data):
+    """add_row_enc is add_enc over a list; multiples_enc lists c*x for c = 0, g^0, g^1, ..."""
+    f = make_field(*pt)
+    b = data.draw(st.integers(0, f.size - 1))
+    xs = data.draw(st.lists(st.integers(0, f.size - 1), max_size=20))
+    assert f.add_row_enc(b, xs) == [f.add_enc(b, x) for x in xs]
+    x = data.draw(st.integers(0, f.size - 1))
+    coeffs = [0] + [f.pow_enc(f.generator, e) for e in range(f.size - 1)]
+    assert f.multiples_enc(x) == [f.mul_enc(c, x) for c in coeffs]

@@ -1,10 +1,14 @@
+import functools
+import hashlib
+import itertools
 import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitals.finite_field import field_for_q, make_field
+from unitals.finite_field import _is_irreducible, field_for_q, make_field
+from unitals.linalg import mat_det
 from unitals.proj_geom import (
     PointSet,
     _space,
@@ -96,6 +100,59 @@ def test_subspace_enumeration(n, r, q, count):
         assert list(ids) == sorted(ids)
     # no two subspaces share the same point set
     assert len(set(members)) == count
+
+
+def _reference_subspace_points(n: int, r: int, field, basis) -> tuple[int, ...]:
+    """Old per-point route: every point of PG(r-1) through the basis, then index_of."""
+    sp = _space(n, field)
+    coeff_pts = ((1,),) if r == 1 else _space(r - 1, field).points
+    cols = tuple(zip(*((x.enc for x in row) for row in basis)))
+    return tuple(sorted(sp.index_of(field.mat_vec_enc(cols, c)) for c in coeff_pts))
+
+
+# sha256 of repr(subspace_member_indices(n, r, field_for_q(q))), frozen before the
+# build read point indices off the RREF basis
+SUBSPACE_DIGESTS = {
+    (2, 2, 2): "3616c051a56879aac942dace5a61a608d2a90df79d33c56d40ec316e80b1e5aa",
+    (2, 2, 3): "d99bbf0b24a6afbf0909ec62385ee3fcbbe307374094abc9a013d5ca07bc044e",
+    (2, 2, 4): "308e1153997d8ccd3ba85edef427c17c47e28495446807ec1c75d78360ba84a9",
+    (2, 2, 5): "2eaf4dc7237f18e010eb546eb652328a66364e2727b202652ba4afe4c493a454",
+    (3, 2, 2): "93b57020b81f4dfce6b7cf380694c6e3aec2983ade12ddf20bba484dd19c7e09",
+    (3, 3, 2): "513e2fbd9fcd66051b7755743a1a9e2136deccf4ac01ede8e7255bce0c06bf02",
+    (3, 2, 3): "33054fb17d24c40d20dd35b36a4dd1a11b06c4836205acbd736dac682d8b53a3",
+    (3, 3, 3): "8cee862c803320d5321947b84b6e023e0c4c6a5d0821d6a93633812b3cfd6d8f",
+}
+
+
+@pytest.mark.parametrize("n,r,q", sorted(SUBSPACE_DIGESTS))
+def test_subspace_member_indices_frozen(n, r, q):
+    members = subspace_member_indices(n, r, field_for_q(q))
+    assert hashlib.sha256(repr(members).encode()).hexdigest() == SUBSPACE_DIGESTS[n, r, q]
+
+
+@functools.cache
+def _irreducible_moduli(p: int, d: int) -> list[tuple[int, ...]]:
+    moduli = [low + (1,) for low in itertools.product(range(p), repeat=d)]
+    return [m for m in moduli if _is_irreducible(m, p)]
+
+
+# (n, r, p, t): lines and planes over fields with and without an addition table
+BUILD_CASES = [
+    (1, 1, 3, 1), (2, 1, 2, 2), (2, 2, 2, 1), (2, 2, 3, 1), (2, 2, 2, 2), (2, 2, 5, 1), (2, 2, 7, 1),
+    (3, 2, 2, 1), (3, 3, 2, 1), (3, 2, 3, 1), (3, 3, 3, 1), (4, 2, 2, 1), (4, 3, 2, 1), (4, 4, 2, 1),
+]
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(BUILD_CASES), data=st.data())
+def test_subspace_build_matches_per_point_reference(case, data):
+    """The RREF build equals the per-point mat-vec route, under any modulus."""
+    n, r, p, t = case
+    f = make_field(p, t, data.draw(st.sampled_from(_irreducible_moduli(p, 2 * t))))
+    subs = enum_subspaces(n, r, f)
+    members = subspace_member_indices(n, r, f)
+    for i in data.draw(st.lists(st.integers(0, len(subs) - 1), min_size=1, max_size=8)):
+        assert members[i] == _reference_subspace_points(n, r, f, subs[i])
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -190,3 +247,35 @@ def test_apply_collineation():
     img = apply_collineation(shift, line)
     members = {frozenset(ids) for ids in subspace_member_indices(2, 2, f)}
     assert frozenset(img.members) in members
+
+
+def _point_sets(f, npts):
+    return st.builds(lambda ids: PointSet.of(2, f, ids), st.sets(st.integers(0, npts - 1)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.sampled_from([2, 3]), data=st.data())
+def test_intersection_size_invariant_under_collineations(q, data):
+    """|A & B| = |gA & gB| for a random nonsingular matrix g."""
+    f = field_for_q(q)
+    npts = len(enum_points(2, f))
+    A = data.draw(_point_sets(f, npts))
+    B = data.draw(_point_sets(f, npts))
+    entry = st.sampled_from(f.elements)
+    g = data.draw(
+        st.tuples(*[st.tuples(entry, entry, entry)] * 3).filter(lambda m: bool(mat_det(m)))
+    )
+    gA, gB = apply_collineation(g, A), apply_collineation(g, B)
+    assert len(gA) == len(A) and len(gB) == len(B)
+    assert len(gA.intersect(gB)) == len(A.intersect(B))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from([(1, 2, 1), (2, 2, 1), (2, 3, 1), (2, 2, 2), (3, 3, 1)]), data=st.data())
+def test_pointset_json_round_trip_random_members(case, data):
+    n, p, t = case
+    f = make_field(p, t, data.draw(st.sampled_from(_irreducible_moduli(p, 2 * t))))
+    ids = data.draw(st.sets(st.integers(0, len(enum_points(n, f)) - 1)))
+    s = PointSet.of(n, f, ids)
+    back = PointSet.from_json_dict(json.loads(json.dumps(s.to_json_dict())))
+    assert back == s and back.field is f

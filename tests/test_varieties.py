@@ -8,6 +8,7 @@ from unitals.varieties import (
     BMParams,
     HermitianForm,
     _bm_point_ids,
+    _check_design,
     all_valid_bm_params,
     blocks_of,
     bm_affine_value,
@@ -123,6 +124,27 @@ def test_blocks_form_a_steiner_design(q):
     assert all(len(b) == q + 1 for b in blocks)
     with pytest.raises(ValueError):
         blocks_of(PointSet.of(2, f, range(5)))
+
+
+# the 12 lines of AG(2,3): a 2-(9, 3, 1) design on the points 0..8
+AG23 = [
+    (0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8),
+    (0, 4, 8), (1, 5, 6), (2, 3, 7), (0, 5, 7), (1, 3, 8), (2, 4, 6),
+]
+
+
+def test_design_check_rejects_hand_made_block_lists():
+    points = tuple(range(9))
+    _check_design(points, AG23, 3, 12)
+    doubled = AG23[:-1] + [(0, 1, 6)]  # (0, 1) and (0, 6) again
+    with pytest.raises(AssertionError, match=r"pair \(0, 1\) covered twice"):
+        _check_design(points, doubled, 3, 12)
+    with pytest.raises(AssertionError, match="pair coverage incomplete"):
+        _check_design(points, AG23[:-1], 3, 11)  # (2, 4), (2, 6), (4, 6) uncovered
+    with pytest.raises(AssertionError, match="secant count off"):
+        _check_design(points, AG23[:-1], 3, 12)
+    with pytest.raises(AssertionError, match="block size off"):
+        _check_design(points, AG23[:-1] + [(2, 4)], 3, 12)
 
 
 @pytest.mark.parametrize("q,count", [(3, 18), (4, 72)])
