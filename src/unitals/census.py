@@ -309,8 +309,9 @@ def general_unital_congruence(
     For each unital U (by default the full valid Buekenhout-Metz sweep) and
     each Hermitian unital H: v_p(|H and U| - 1) >= ceil(t/2), and p^theta
     divides |complement(U) and H| with theta = theta_bound(2, 2, t).  Every U
-    from the source must pass is_unital_embedded; a failing source set raises
-    ValueError with the line-profile diagnostic.
+    from the source must pass is_unital_embedded.  A failing caller-supplied
+    set raises ValueError with the line-profile diagnostic; a failing set of
+    the default sweep is a library fault and raises AssertionError.
     """
     if q not in (3, 4, 5):
         raise ValueError("general_unital_congruence supports q in {3, 4, 5}")
@@ -318,14 +319,13 @@ def general_unital_congruence(
     p, t = field.p, field.t
     theta = theta_bound(2, 2, t)
     need = -(-t // 2)  # ceil(t/2)
+    fault = ValueError if unitals is not None else AssertionError
     if unitals is None:
         unitals = [(_bm_desc(pr), bm_unital(pr)) for pr in all_valid_bm_params(field)]
     for desc, U in unitals:
         check = is_unital_embedded(U)
         if not check:
-            raise ValueError(
-                f"source produced a non-unital ({desc}): profile {check.profile}"
-            )
+            raise fault(f"source produced a non-unital ({desc}): profile {check.profile}")
     # one complement per unital, shared by all its pairs
     sources = [(desc, U, U.complement()) for desc, U in unitals]
     hermitians, tasks = _sweep(field, seed, hermitian_samples, sources)

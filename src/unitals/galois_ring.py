@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from .finite_field import Field, FieldElem
 
-_TEICH_ENUM_LIMIT = 1 << 16
-
 
 class GaloisRingElem:
     """Element of a GaloisRing, held as a little-endian coefficient tuple."""
@@ -189,20 +187,6 @@ class GaloisRing:
         assert y.to_field() == x
         self._teich[x.enc] = y
         return y
-
-    def teichmuller_set(self) -> tuple[GaloisRingElem, ...]:
-        """All ring elements fixed by the (p^degree)-power map."""
-        if self.pk**self.degree > _TEICH_ENUM_LIMIT:
-            raise ValueError("ring too large to enumerate")
-        import itertools
-
-        out = []
-        e = self.p**self.degree
-        for coeffs in itertools.product(range(self.pk), repeat=self.degree):
-            el = GaloisRingElem(self, coeffs)
-            if el**e == el:
-                out.append(el)
-        return tuple(out)
 
     def __repr__(self):
         return f"GaloisRing(p={self.p}, k={self.k}, modulus={self.modulus})"

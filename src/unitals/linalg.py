@@ -2,30 +2,12 @@
 
 Matrices are tuples of row tuples of FieldElem.  Sizes here are tiny (at most
 a few hundred rows), so everything is straightforward Gaussian elimination.
-The per-point matrix-vector product of the hot loops runs on integer
-encodings instead (`Field.mat_vec_enc`); `mat_mul` is its FieldElem reference.
+Matrix-vector products run on integer encodings (`Field.mat_vec_enc`).
 """
 
 from __future__ import annotations
 
 from .finite_field import FieldElem
-
-
-def mat_mul(A, B):
-    r = len(A)
-    k = len(B)
-    c = len(B[0])
-    field = A[0][0].field
-    out = []
-    for i in range(r):
-        row = []
-        for j in range(c):
-            acc = field.zero
-            for s in range(k):
-                acc = acc + A[i][s] * B[s][j]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
 
 
 def mat_det(M) -> FieldElem:

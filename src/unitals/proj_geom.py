@@ -356,9 +356,13 @@ def apply_collineation(M, S: PointSet) -> PointSet:
     """Image of S under the projectivity x -> Mx; M must be nonsingular."""
     if not mat_det(M):
         raise ValueError("collineation matrix is singular")
+    return _image_enc(tuple(tuple(x.enc for x in row) for row in M), S)
+
+
+def _image_enc(M, S: PointSet) -> PointSet:
+    """Image of S under x -> Mx for a nonsingular M given as rows of encodings."""
     sp = _space(S.n, S.field)
     pts, index_of, mat_vec = sp.points, sp.index_of, S.field.mat_vec_enc
-    M = tuple(tuple(x.enc for x in row) for row in M)
     out = PointSet.of(S.n, S.field, [index_of(mat_vec(M, pts[i])) for i in S.members])
     assert len(out) == len(S)
     return out

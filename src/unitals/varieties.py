@@ -3,7 +3,11 @@
 A Hermitian form is given by a conjugate-symmetric matrix C over GF(q^2)
 (entry(j,i) = entry(i,j)^q); its variety is the set of points P with
 P^dagger C P = 0.  For n = 2 and C nonsingular this is the classical unital
-of q^3+1 points.
+of q^3+1 points.  Only the canonical variety H(I), sum x_i^(q+1) = 0, is found
+by evaluating at every point (once per (n, field)); any other H(C) is its
+image M.H(I) under a unitary frame M with M^dagger C M = I, found by Hermitian
+Gram-Schmidt and certified by recomputing M^dagger C M before use.  The image
+is exact because x = My gives x^dagger C x = y^dagger y.
 
 The Buekenhout-Metz family is built in the affine chart
     U_{a,b} = {(1, y, a*y^2 + b*y^(q+1) + r) : y in GF(q^2), r in GF(q)}
@@ -20,11 +24,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, reduce
 
 from .finite_field import Field, FieldElem, abs_trace, frobenius, is_square
 from .linalg import mat_det, nullspace_mod_p
-from .proj_geom import PointSet, _mask_of, _space
+from .proj_geom import PointSet, _image_enc, _mask_of, _space
 
 _FIT_ENUM_LIMIT = 1 << 20
 
@@ -62,14 +66,11 @@ class HermitianForm:
     def _enc_matrix(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(x.enc for x in row) for row in self.matrix)
 
-    def _evaluate_enc(self, x) -> int:
-        """evaluate on encodings: the 1 x 1 product conj(x)^T (C x)."""
-        f = self.field
-        return f.mat_vec_enc((tuple(f._conj[e] for e in x),), f.mat_vec_enc(self._enc_matrix, x))[0]
-
     def evaluate(self, coords) -> FieldElem:
-        """P^dagger C P; always lands in GF(q)."""
-        return self.field.elem(self._evaluate_enc(tuple(x.enc for x in coords)))
+        """P^dagger C P, the 1 x 1 product conj(P)^T (C P); always lands in GF(q)."""
+        f = self.field
+        x = tuple(c.enc for c in coords)
+        return f.elem(f.mat_vec_enc((tuple(f._conj[e] for e in x),), f.mat_vec_enc(self._enc_matrix, x))[0])
 
     @staticmethod
     def identity(n: int, field: Field) -> HermitianForm:
@@ -82,12 +83,74 @@ class HermitianForm:
 
 
 def hermitian_variety(form: HermitianForm) -> PointSet:
-    """All points P of PG(n, q^2) with form(P) = 0; form must be nonsingular."""
+    """All points P of PG(n, q^2) with form(P) = 0; form must be nonsingular.
+
+    Built as M.H(I), the image of the canonical variety under a unitary frame
+    M of the form: M^dagger C M = I, certified by `_unitary_frame`.  This is
+    exact: for x = My, x^dagger C x = y^dagger M^dagger C M y = y^dagger y,
+    and M is nonsingular, so x lies on H(C) exactly when y lies on H(I).
+    The work is one mat-vec per point of the variety, O(q^(2n-1)), not one
+    evaluation per point of PG(n, q^2).
+    """
     if not form.is_nonsingular:
         raise ValueError("form is singular")
-    sp = _space(form.n, form.field)
-    ids = tuple(i for i, x in zip(sp.ids, sp.points) if not form._evaluate_enc(x))
-    return PointSet(form.n, form.field, ids)
+    return _image_enc(_unitary_frame(form), _canonical_variety(form.n, form.field))
+
+
+@cache
+def _canonical_variety(n: int, field: Field) -> PointSet:
+    """H(I): the points with x_0^(q+1) + ... + x_n^(q+1) = 0, by evaluation at every point."""
+    sp = _space(n, field)
+    norm = [field.pow_enc(e, field.q + 1) for e in range(field.size)].__getitem__
+    ids = tuple(i for i, x in zip(sp.ids, sp.points) if not reduce(field.add_enc, map(norm, x)))
+    return PointSet(n, field, ids)
+
+
+def _unitary_frame(form: HermitianForm) -> tuple[tuple[int, ...], ...]:
+    """Rows of encodings of a matrix M with M^dagger C M = I, for a nonsingular form.
+
+    Hermitian Gram-Schmidt with h(u, w) = conj(u)^T C w on the columns of M,
+    starting from the standard basis.  Each step takes the first remaining
+    vector v with h(v, v) = d != 0 (when all are isotropic, first replaces
+    basis[0] by basis[0] + lam*basis[j] for the first (j, lam) with
+    h(w, w) = Tr(lam*h(basis[0], basis[j])) != 0), scales v by
+    s = g^(-log(d)/(q+1)) so that h(v, v) = N(s)*d = 1, and projects
+    b -> b - h(v, b)*v off every remaining vector.  d lies in GF(q)*, the
+    (q+1)-th powers of GF(q^2)*, so q+1 divides log(d).  M^dagger C M = I is
+    recomputed from M alone before M is returned; AssertionError if not.
+    """
+    f, n1, C = form.field, form.n + 1, form._enc_matrix
+    add, mul, neg, conj, log, exp = f.add_enc, f.mul_enc, f.neg_enc, f._conj, f._log, f._exp
+
+    # each basis vector b carries C b in its last n+1 slots; every step below is linear in b
+    def h(u, w):
+        return reduce(add, map(mul, map(conj.__getitem__, u[:n1]), w[n1:]))
+
+    def axpy(a, x, y):  # a*x + y
+        return [add(mul(a, xi), yi) for xi, yi in zip(x, y)]
+
+    basis = [[int(i == j) for i in range(n1)] + [row[j] for row in C] for j in range(n1)]
+    cols = []
+    while basis:
+        k = next((k for k, v in enumerate(basis) if h(v, v)), None)
+        if k is None:  # every remaining vector is isotropic, e.g. C has a zero diagonal
+            candidates = (axpy(lam, b, basis[0]) for b in basis[1:] for lam in range(1, f.size))
+            w = next((w for w in candidates if h(w, w)), None)
+            if w is None:
+                raise AssertionError("isotropic basis spans a singular subspace")
+            basis[0], k = w, 0
+        v = basis.pop(k)
+        m = log[h(v, v)]
+        if m % (f.q + 1):
+            raise AssertionError("h(v, v) escaped GF(q)")
+        v = [mul(exp[-m // (f.q + 1) % (f.size - 1)], x) for x in v]
+        basis = [axpy(neg(h(v, b)), v, b) for b in basis]
+        cols.append(v[:n1])
+    M_dagger = [[conj[e] for e in v] for v in cols]
+    for j, v in enumerate(cols):  # column j of M^dagger C M is M^dagger (C v)
+        if f.mat_vec_enc(M_dagger, f.mat_vec_enc(C, v)) != tuple(int(i == j) for i in range(n1)):
+            raise AssertionError("unitary frame certificate M^dagger C M = I failed")
+    return tuple(zip(*cols))
 
 
 def _random_form_candidates(n: int, field: Field, rng: random.Random):

@@ -183,8 +183,32 @@ def _stall_hensel(monkeypatch):
     monkeypatch.setattr(GaloisRingElem, "__eq__", lambda self, other: False)
 
 
+def _drop_bm_point(monkeypatch):
+    from unitals import census
+    from unitals.proj_geom import PointSet
+
+    build = census.bm_unital
+    monkeypatch.setattr(census, "bm_unital", lambda pr: PointSet(2, pr.field, build(pr).members[1:]))
+
+
+def _flip_projection(monkeypatch):
+    from unitals.finite_field import field_for_q
+
+    # Gram-Schmidt then adds h(v, b)*v where it should subtract it
+    monkeypatch.setattr(field_for_q(3), "neg_enc", lambda a: a)
+
+
 # (how to make an internal consistency check fire, argv, the message it raises)
 INTERNAL_ERRORS = {
+    "non-unital source": (
+        _drop_bm_point, ["census", "--kind", "general", "--q", "3"],
+        "AssertionError: source produced a non-unital ({'kind': 'bm', 'a': 0, 'b': 3}): "
+        "profile ((0, 1), (1, 27), (3, 9), (4, 54))",
+    ),
+    "unitary frame": (
+        _flip_projection, ["make-unital", "--q", "3", "--kind", "hermitian", "--seed", "0"],
+        "AssertionError: unitary frame certificate M^dagger C M = I failed",
+    ),
     "intersection routes": (
         _break_mask, ["census", "--kind", "kestenband", "--q", "2", "--samples", "3"],
         "AssertionError: intersection routes disagree",
@@ -290,6 +314,16 @@ def test_charfn_check(capsys):
     assert data["points"] == 21 and data["on_variety"] == 9
     code, _, err = run(capsys, "charfn-check", "--q", "2", "--ell", "0")
     assert code == 2
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_charfn_check_mod_q4(capsys, q):
+    """--ell 2 checks the ring-side indicator modulo q^4 at every point."""
+    code, out, _ = run(capsys, "charfn-check", "--q", str(q), "--ell", "2")
+    assert code == 0
+    data = json.loads(out)
+    assert data["ell"] == 2 and data["mismatches"] == []
+    assert data["points"] == q**4 + q**2 + 1 and data["on_variety"] == q**3 + 1
 
 
 def test_version_flag(capsys):

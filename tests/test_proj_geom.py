@@ -1,13 +1,11 @@
-import functools
 import hashlib
-import itertools
 import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from unitals.finite_field import _is_irreducible, field_for_q, make_field
+from unitals.finite_field import field_for_q, make_field
 from unitals.linalg import mat_det
 from unitals.proj_geom import (
     PointSet,
@@ -23,6 +21,8 @@ from unitals.proj_geom import (
     point_index,
     subspace_member_indices,
 )
+
+from reference_oracles import irreducible_moduli
 
 
 def test_gaussian_binomial():
@@ -130,12 +130,6 @@ def test_subspace_member_indices_frozen(n, r, q):
     assert hashlib.sha256(repr(members).encode()).hexdigest() == SUBSPACE_DIGESTS[n, r, q]
 
 
-@functools.cache
-def _irreducible_moduli(p: int, d: int) -> list[tuple[int, ...]]:
-    moduli = [low + (1,) for low in itertools.product(range(p), repeat=d)]
-    return [m for m in moduli if _is_irreducible(m, p)]
-
-
 # (n, r, p, t): lines and planes over fields with and without an addition table
 BUILD_CASES = [
     (1, 1, 3, 1), (2, 1, 2, 2), (2, 2, 2, 1), (2, 2, 3, 1), (2, 2, 2, 2), (2, 2, 5, 1), (2, 2, 7, 1),
@@ -148,7 +142,7 @@ BUILD_CASES = [
 def test_subspace_build_matches_per_point_reference(case, data):
     """The RREF build equals the per-point mat-vec route, under any modulus."""
     n, r, p, t = case
-    f = make_field(p, t, data.draw(st.sampled_from(_irreducible_moduli(p, 2 * t))))
+    f = make_field(p, t, data.draw(st.sampled_from(irreducible_moduli(p, 2 * t))))
     subs = enum_subspaces(n, r, f)
     members = subspace_member_indices(n, r, f)
     for i in data.draw(st.lists(st.integers(0, len(subs) - 1), min_size=1, max_size=8)):
@@ -274,7 +268,7 @@ def test_intersection_size_invariant_under_collineations(q, data):
 @given(case=st.sampled_from([(1, 2, 1), (2, 2, 1), (2, 3, 1), (2, 2, 2), (3, 3, 1)]), data=st.data())
 def test_pointset_json_round_trip_random_members(case, data):
     n, p, t = case
-    f = make_field(p, t, data.draw(st.sampled_from(_irreducible_moduli(p, 2 * t))))
+    f = make_field(p, t, data.draw(st.sampled_from(irreducible_moduli(p, 2 * t))))
     ids = data.draw(st.sets(st.integers(0, len(enum_points(n, f)) - 1)))
     s = PointSet.of(n, f, ids)
     back = PointSet.from_json_dict(json.loads(json.dumps(s.to_json_dict())))

@@ -2,7 +2,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unitals.finite_field import field_for_q, frobenius, make_field
-from unitals.linalg import mat_mul
 from unitals.proj_geom import PointSet, all_points_set, enum_points
 from unitals.varieties import (
     BMParams,
@@ -20,6 +19,8 @@ from unitals.varieties import (
     is_unital_embedded,
     random_hermitian_form,
 )
+
+from reference_oracles import hermitian_variety_by_evaluation, irreducible_moduli, mat_mul
 
 
 def test_hermitian_form_validation():
@@ -78,6 +79,41 @@ def test_evaluate_matches_mat_mul_reference(case, seed, data):
     want = mat_mul(conj_row, mat_mul(form.matrix, tuple((c,) for c in x)))[0][0]
     assert form.evaluate(x) == want
     assert (i in hermitian_variety(form)) == (want == f.zero)
+
+
+# (n, p, t) for (n, q) in {(1,2), (1,3), (2,2), (2,3), (2,4), (2,5), (3,2), (3,3), (4,2)}
+VARIETY_CASES = [(1, 2, 1), (1, 3, 1), (2, 2, 1), (2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1), (3, 3, 1), (4, 2, 1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(VARIETY_CASES), seed=st.integers(0, 10**6), data=st.data())
+def test_hermitian_variety_matches_evaluation_reference(case, seed, data):
+    """M . H(I) equals the zeros of the form evaluated at every point, under any modulus."""
+    n, p, t = case
+    f = make_field(p, t, data.draw(st.sampled_from(irreducible_moduli(p, 2 * t))))
+    form = random_hermitian_form(n, f, seed)
+    assert hermitian_variety(form).members == hermitian_variety_by_evaluation(form).members
+
+
+def _form_of(f, encs):
+    return HermitianForm(tuple(tuple(f.elem(e) for e in row) for row in encs))
+
+
+# zero diagonals: Gram-Schmidt meets a basis of isotropic vectors and must combine two
+ZERO_DIAGONAL = [
+    (2, ((0, 1, 0), (1, 0, 0), (0, 0, 1))),
+    (3, ((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))),
+]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n,encs", ZERO_DIAGONAL)
+def test_hermitian_variety_zero_diagonal(n, encs, q):
+    f = field_for_q(q)
+    form = _form_of(f, encs)
+    H = hermitian_variety(form)
+    assert H.members == hermitian_variety_by_evaluation(form).members
+    assert len(H) == len(hermitian_variety(HermitianForm.identity(n, f)))
 
 
 def test_random_hermitian_form_deterministic():
