@@ -328,6 +328,7 @@ def cmd_charfn(args) -> int:
         "mismatches": mismatches,
     }
     _emit(json.dumps(result, sort_keys=True, indent=2) + "\n", args.out)
+    print(f"charfn: {result['points']} points, {len(ring._char)} distinct norm sums", file=sys.stderr)
     return 0 if not mismatches else 1
 
 

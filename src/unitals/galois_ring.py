@@ -11,12 +11,18 @@ obeys the truncated additivity T(a+b) = (T(a)+T(b))^(q^l) mod q^l.
 herm_char_value evaluates the ring-side characteristic function of the
 complement of the standard Hermitian variety sum(x_i^(q+1)) = 0:
     (sum_i T(x_i)^(q+1))^(q^(2l+1) - q^(2l))  =  0 or 1  (mod q^(2l))
-according as the point lies on or off the variety.
+according as the point lies on or off the variety.  The function is memoised
+exactly, on its ring: T(x)^(q+1) once per field element, and the final power
+once per (l, coefficient tuple of the norm sum mod p^k).  The exponent is
+fixed by q and l, and a ring element by its reduced coefficients, so a hit
+returns the very element that a fresh power would; a point costs additions.
 """
 
 from __future__ import annotations
 
 from .finite_field import Field, FieldElem
+
+MAX_PRECISION = 64
 
 
 class GaloisRingElem:
@@ -138,6 +144,9 @@ class GaloisRing:
         else:
             self.gen = self.zero
         self._teich: dict[int, GaloisRingElem] = {}
+        # herm_char_value memo: x.enc -> T(x)^(q+1); (ell, acc.coeffs) -> acc^E
+        self._norm: dict[int, GaloisRingElem] = {}
+        self._char: dict[tuple[int, tuple[int, ...]], GaloisRingElem] = {}
 
     def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
         pk = self.pk
@@ -194,6 +203,8 @@ class GaloisRing:
 
 def make_ring(field: Field, k: int) -> GaloisRing:
     """GR(p^k, 2t) over `field`, modulus lifted so its roots are Teichmüller."""
+    if k > MAX_PRECISION:
+        raise ValueError(f"ring precision k = {k} exceeds {MAX_PRECISION}")
     p = field.p
     d = field.degree
     naive = GaloisRing(p, k, tuple(int(c) for c in field.modulus), field=None)
@@ -236,6 +247,9 @@ def herm_char_value(ring: GaloisRing, point, ell: int) -> GaloisRingElem:
     """(sum_i T(x_i)^(q+1))^(q^(2l+1) - q^(2l)) in the ring.
 
     Needs ring precision k >= 2*t*l so that arithmetic mod q^(2l) is faithful.
+    The lifted norms and the final power are memoised on the ring, the power
+    keyed by (ell, exact coefficients of the sum); the result is the same
+    element the uncached evaluation gives, and the guard runs before any lookup.
     """
     field = ring.field
     if field is None:
@@ -249,5 +263,14 @@ def herm_char_value(ring: GaloisRing, point, ell: int) -> GaloisRingElem:
     q = field.q
     acc = ring.zero
     for x in point:
-        acc = acc + ring.teichmuller(x) ** (q + 1)
-    return acc ** (q ** (2 * ell + 1) - q ** (2 * ell))
+        if x.field is not field:
+            raise ValueError("element does not belong to the companion field")
+        norm = ring._norm.get(x.enc)
+        if norm is None:
+            norm = ring._norm[x.enc] = ring.teichmuller(x) ** (q + 1)
+        acc = acc + norm
+    key = (ell, acc.coeffs)
+    val = ring._char.get(key)
+    if val is None:
+        val = ring._char[key] = acc ** (q ** (2 * ell + 1) - q ** (2 * ell))
+    return val

@@ -43,6 +43,15 @@ def hermitian_variety_by_evaluation(form) -> PointSet:
     return PointSet(form.n, f, tuple(members))
 
 
+def herm_char_value_uncached(ring: GaloisRing, point, ell: int) -> GaloisRingElem:
+    """(sum_i T(x_i)^(q+1))^(q^(2l+1) - q^(2l)), one full ring power per point."""
+    q = ring.field.q
+    acc = ring.zero
+    for x in point:
+        acc = acc + ring.teichmuller(x) ** (q + 1)
+    return acc ** (q ** (2 * ell + 1) - q ** (2 * ell))
+
+
 def teichmuller_set(ring: GaloisRing) -> tuple[GaloisRingElem, ...]:
     """All ring elements fixed by the (p^degree)-power map, by enumerating the ring."""
     if ring.pk**ring.degree > _TEICH_ENUM_LIMIT:

@@ -47,7 +47,7 @@ CRITERIA = {
     3: "Kestenband six-size classification (q = 2, 3)",
     4: "SNF oracle equals the monomial-type invariant formula",
     5: "type tuple identities, exhaustive (q = 2, 3)",
-    6: "Teichmuller characteristic function mod q^2 (q = 2, 3)",
+    6: "Teichmuller characteristic function mod q^2 (q = 2, 3, 4, 5, 7, 8, 9)",
     7: "unital axioms, 2-design blocks, complement divisibility property",
     8: "Hermitian pair divisibility in complement form (200+ pairs)",
     9: "a Hermitian form fits exactly when a = 0 (q = 3, 4)",
@@ -158,7 +158,7 @@ def test_criterion_5_type_identities(acceptance):
 def test_criterion_6_characteristic_function(acceptance):
     ok = True
     checked = 0
-    for q in (2, 3):
+    for q in (2, 3, 4, 5, 7, 8, 9):
         f = field_for_q(q)
         prec = 2 * f.t  # ell = 1: congruence mod q^2 = p^(2t)
         ring = make_ring(f, prec)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -145,6 +146,8 @@ HUGE_INPUTS = {
     "enum huge n": ["enum", "--q", "2", "--n", "1000000000", "--what", "points"],
     "enum monomials huge n": ["enum", "--q", "2", "--n", "1000000000", "--what", "monomials"],
     "invariants huge n": ["invariants", "--q", "2", "--n", "1000000000", "--r", "2"],
+    "charfn-check huge ell q=2": ["charfn-check", "--q", "2", "--ell", "5000"],
+    "charfn-check huge ell q=9": ["charfn-check", "--q", "9", "--ell", "100"],
 }
 
 
@@ -316,7 +319,7 @@ def test_charfn_check(capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
 def test_charfn_check_mod_q4(capsys, q):
     """--ell 2 checks the ring-side indicator modulo q^4 at every point."""
     code, out, _ = run(capsys, "charfn-check", "--q", str(q), "--ell", "2")
@@ -324,6 +327,21 @@ def test_charfn_check_mod_q4(capsys, q):
     data = json.loads(out)
     assert data["ell"] == 2 and data["mismatches"] == []
     assert data["points"] == q**4 + q**2 + 1 and data["on_variety"] == q**3 + 1
+
+
+@pytest.mark.parametrize("q,sums", [(7, 19), (8, 36), (9, 41)])
+def test_charfn_check_counts_distinct_norm_sums(capsys, q, sums):
+    """stderr names the number of ring powers computed: one per distinct norm sum."""
+    code, _, err = run(capsys, "charfn-check", "--q", str(q))
+    assert code == 0
+    assert err == f"charfn: {q**4 + q**2 + 1} points, {sums} distinct norm sums\n"
+
+
+def test_charfn_check_report_bytes(capsys):
+    code, out, _ = run(capsys, "charfn-check", "--q", "3")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "84074f61cbe65d99e6983bc542eafe8cfbc7725c80cf1170a9beaa838289e1c9"
 
 
 def test_version_flag(capsys):

@@ -10,7 +10,7 @@ from unitals.galois_ring import (
 from unitals.proj_geom import enum_points
 from unitals.varieties import HermitianForm, hermitian_variety
 
-from reference_oracles import teichmuller_set
+from reference_oracles import herm_char_value_uncached, teichmuller_set
 
 
 def test_ring_arithmetic_basics():
@@ -136,9 +136,12 @@ def test_teichmuller_power_sums(q):
             assert tot == r.zero
 
 
-@pytest.mark.parametrize("q,ell", [(2, 1), (3, 1), (2, 2)])
+@pytest.mark.parametrize("q,ell", [(2, 1), (3, 1), (4, 1), (5, 1), (2, 2), (3, 2)])
 def test_herm_char_value(q, ell):
-    """The ring-side indicator of the complement of the Hermitian curve."""
+    """The ring-side indicator of the complement of the Hermitian curve.
+
+    The memoised value is the uncached ring element itself, not just congruent to it.
+    """
     f = field_for_q(q)
     t = f.t
     r = make_ring(f, 2 * t * ell)
@@ -146,11 +149,31 @@ def test_herm_char_value(q, ell):
     zero, one = r.zero, r.one
     for i, pt in enumerate(enum_points(2, f)):
         val = herm_char_value(r, pt, ell)
+        assert val == herm_char_value_uncached(r, pt, ell)
         want = zero if i in H else one
         assert val.congruent_mod(want, 2 * t * ell)
         # double check against the field-side norm sum
         norm_sum = sum((norm_q(x) for x in pt), f.zero)
         assert (norm_sum == f.zero) == (i in H)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_herm_char_value_memo_interleaved(q):
+    """Two ells on one ring, and two rings over one field, never share a memo entry."""
+    f = field_for_q(q)
+    wide, narrow = make_ring(f, 4 * f.t), make_ring(f, 2 * f.t)
+    for pt in enum_points(2, f):
+        for ring, ell in ((wide, 1), (wide, 2), (narrow, 1)):
+            got = herm_char_value(ring, pt, ell)
+            want = herm_char_value_uncached(ring, pt, ell)
+            assert got.ring is ring and got.coeffs == want.coeffs
+
+
+def test_make_ring_precision_bound():
+    f = field_for_q(9)
+    assert make_ring(f, 64).k == 64
+    with pytest.raises(ValueError, match="exceeds 64"):
+        make_ring(f, 65)
 
 
 def test_herm_char_value_precision_guard():
@@ -161,3 +184,11 @@ def test_herm_char_value_precision_guard():
         herm_char_value(r, pt, 1)
     with pytest.raises(ValueError):
         herm_char_value(make_ring(f, 2), pt, 0)
+    # the guards run before any memo lookup: a cached point with too large an
+    # ell, or a point over another field whose encodings are cached, still raises
+    r2 = make_ring(f, 2)
+    herm_char_value(r2, pt, 1)
+    with pytest.raises(ValueError):
+        herm_char_value(r2, pt, 2)
+    with pytest.raises(ValueError):
+        herm_char_value(r2, enum_points(2, make_field(2, 2))[0], 1)
