@@ -44,6 +44,7 @@ from .varieties import (
     bm_unital,
     blocks_of,
     check_property_I,
+    fit_hermitian_form,
     hermitian_variety,
     is_unital_embedded,
     random_hermitian_form,
@@ -225,6 +226,7 @@ def cmd_verify_unital(args) -> int:
         diag["complement_property_I"] = check_property_I(
             S.complement(), 2, S.field.t
         )
+        diag["hermitian"] = fit_hermitian_form(S) is not None
     _emit(json.dumps(diag, sort_keys=True, indent=2) + "\n", args.out)
     if not check.ok:
         print(f"not a unital: line profile {check.profile}", file=sys.stderr)

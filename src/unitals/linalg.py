@@ -1,45 +1,57 @@
-"""Small dense linear algebra over a Field, plus GF(p) integer solvers.
+"""Small dense linear algebra: determinants over a Field and GF(p) nullspaces.
 
-Matrices are tuples of row tuples of FieldElem.  Sizes here are tiny (at most
-a few hundred rows), so everything is straightforward Gaussian elimination.
-Matrix-vector products run on integer encodings (`Field.mat_vec_enc`).
+`det_enc` eliminates on integer encodings; `mat_det` is its FieldElem façade.
+Matrix-vector products run on encodings too (`Field.mat_vec_enc`).
+`nullspace_mod_p` solves the small GF(p) systems of form fitting: each call
+is one point's 2t digit rows against the k forms still in play.
 """
 
 from __future__ import annotations
 
-from .finite_field import FieldElem
+from .finite_field import Field, FieldElem
 
 
 def mat_det(M) -> FieldElem:
-    n = len(M)
     field = M[0][0].field
+    return field.elem(det_enc(field, [[x.enc for x in row] for row in M]))
+
+
+def det_enc(field: Field, M) -> int:
+    """The determinant of a square matrix of encodings, by Gaussian elimination."""
+    add, mul, neg = field.add_enc, field.mul_enc, field.neg_enc
     rows = [list(r) for r in M]
-    det = field.one
+    n = len(rows)
+    det = 1
     for col in range(n):
         piv = next((r for r in range(col, n) if rows[r][col]), None)
         if piv is None:
-            return field.zero
+            return 0
         if piv != col:
             rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det = det * rows[col][col]
-        inv = field.one / rows[col][col]
-        rows[col] = [x * inv for x in rows[col]]
+            det = neg(det)
+        det = mul(det, rows[col][col])
+        inv = field.inv_enc(rows[col][col])
+        rows[col] = [mul(x, inv) for x in rows[col]]
         for r in range(col + 1, n):
-            f = rows[r][col]
+            f = neg(rows[r][col])
             if f:
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[col])]
+                rows[r] = [add(a, mul(f, b)) for a, b in zip(rows[r], rows[col])]
     return det
 
 
 # ---------------------------------------------------------------------------
-# GF(p) solvers on plain integer matrices (used for form fitting)
+# GF(p) solver on plain integer matrices
 
 
 def nullspace_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right nullspace of an integer matrix over GF(p)."""
+    """Basis of the right nullspace of an integer matrix over GF(p).
+
+    One vector per free column of the reduced row echelon form, so the basis
+    depends only on the row space.  ValueError on a matrix with no rows, whose
+    column count is unknown.
+    """
     if not rows:
-        return []
+        raise ValueError("nullspace of a matrix with no rows: column count unknown")
     ncols = len(rows[0])
     work = [[x % p for x in row] for row in rows]
     pivots = {}  # col -> row

@@ -22,12 +22,13 @@ its secant-line sections are the blocks of a 2-(q^3+1, q+1, 1) design.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
 from .finite_field import Field, FieldElem, abs_trace, frobenius, is_square
-from .linalg import mat_det, nullspace_mod_p
+from .linalg import det_enc, mat_det, nullspace_mod_p
 from .proj_geom import PointSet, _image_enc, _mask_of, _space
 
 _FIT_ENUM_LIMIT = 1 << 20
@@ -411,59 +412,63 @@ def _subfield_gfp_basis(field: Field) -> list[FieldElem]:
 def fit_hermitian_form(S: PointSet) -> HermitianForm | None:
     """A nonsingular Hermitian form vanishing on all of S, if one exists.
 
-    Solves the GF(p)-linear system over the t*(n+1)^2-dimensional space of
-    conjugate-symmetric matrices, then scans the nullspace for a nonsingular
-    member.  Returns None when no nonsingular form vanishes on S.
+    The unknowns are the GF(p)-coordinates of a conjugate-symmetric matrix: t
+    per diagonal entry, 2t per entry above it.  Walking the points of S on
+    encodings, the GF(p)-basis of the forms vanishing so far is cut down at
+    each point x to the nullspace of the 2t digits of their values at x (a
+    2t x k system); None as soon as no form is left.  The survivors are put in
+    the basis that the reduced echelon form of the full (|S| * 2t)-row system
+    gives, and the first nonsingular nonzero combination, in that order, is
+    certified to vanish on S (AssertionError if not) and returned; None if
+    all are singular.  ValueError on an empty set, on which every form vanishes.
     """
-    field = S.field
-    n = S.n
-    p, t = field.p, field.t
-    d = field.degree
-    pts = S.coords()
+    if not S.members:
+        raise ValueError("every form vanishes on the empty set; nothing to fit")
+    field, n1 = S.field, S.n + 1
+    p, d = field.p, field.degree
+    add, mul, conj, mat_vec = field.add_enc, field.mul_enc, field._conj, field.mat_vec_enc
 
-    unknowns = []  # (i, j, elem) with j >= i; j == i means diagonal over GF(q)
-    for i in range(n + 1):
-        for g in _subfield_gfp_basis(field):
-            unknowns.append((i, i, g))
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(d):
-                unknowns.append((i, j, field.elem(p**k)))
+    # (i, j, g): coordinate of entry (i, j), j >= i, along g; encodings < p are GF(p) scalars
+    diag = [g.enc for g in _subfield_gfp_basis(field)]
+    unknowns = [(i, i, g) for i in range(n1) for g in diag]
+    unknowns += [(i, j, p**k) for i in range(n1) for j in range(i + 1, n1) for k in range(d)]
+    u = len(unknowns)
 
-    rows = []
-    for P in pts:
-        conj = [frobenius(x, t) for x in P]
-        cols = []
-        for i, j, g in unknowns:
-            if i == j:
-                val = conj[i] * g * P[i]
-            else:
-                val = conj[i] * g * P[j] + conj[j] * frobenius(g, t) * P[i]
-            cols.append(val.coeffs)
-        for bit in range(d):
-            rows.append([c[bit] for c in cols])
+    def matrix(coeffs):
+        m = [[0] * n1 for _ in range(n1)]
+        for (i, j, g), c in zip(unknowns, coeffs):
+            if c:
+                m[i][j] = add(m[i][j], mul(c, g))
+        for i in range(n1):
+            for j in range(i):
+                m[i][j] = conj[m[j][i]]
+        return m
 
-    null = nullspace_mod_p(rows, p)
-    if not null:
-        return None
+    def value(m, x):  # conj(x)^T (m x)
+        return reduce(add, map(mul, map(conj.__getitem__, x), mat_vec(m, x)))
+
+    pts = [_space(S.n, field).points[i] for i in S.members]
+    null = [[int(r == c) for c in range(u)] for r in range(u)]
+    mats = [matrix(v) for v in null]
+    for x in pts:
+        vals = [value(m, x) for m in mats]
+        if any(vals):
+            keep = nullspace_mod_p([[v // p**b % p for v in vals] for b in range(d)], p)
+            if not keep:
+                return None
+            cols = list(zip(*null))
+            null = [[sum(map(operator.mul, w, col)) % p for col in cols] for w in keep]
+            mats = [matrix(v) for v in null]
+    null = nullspace_mod_p(nullspace_mod_p(null, p), p)
+
     if p ** len(null) > _FIT_ENUM_LIMIT:
         raise ValueError(f"nullspace too large to scan ({len(null)} dims)")
     for combo in itertools.product(range(p), repeat=len(null)):
         if not any(combo):
             continue
-        coeffs = [
-            sum(c * vec[k] for c, vec in zip(combo, null)) % p
-            for k in range(len(unknowns))
-        ]
-        m = [[field.zero] * (n + 1) for _ in range(n + 1)]
-        for (i, j, g), c in zip(unknowns, coeffs):
-            if not c:
-                continue
-            scalar = field.elem(c)  # encodings < p are prime-field scalars
-            m[i][j] = m[i][j] + scalar * g
-            if i != j:
-                m[j][i] = m[j][i] + scalar * frobenius(g, t)
-        form = HermitianForm(tuple(tuple(row) for row in m))
-        if form.is_nonsingular:
-            return form
+        m = matrix([sum(c * vec[k] for c, vec in zip(combo, null)) % p for k in range(u)])
+        if det_enc(field, m):
+            if any(value(m, x) for x in pts):
+                raise AssertionError("fitted form does not vanish on the point set")
+            return HermitianForm(tuple(tuple(map(field.elem, row)) for row in m))
     return None

@@ -9,7 +9,9 @@ import itertools
 
 from unitals.finite_field import _is_irreducible, frobenius
 from unitals.galois_ring import GaloisRing, GaloisRingElem
+from unitals.linalg import nullspace_mod_p
 from unitals.proj_geom import PointSet, enum_points
+from unitals.varieties import _FIT_ENUM_LIMIT, HermitianForm, _subfield_gfp_basis
 
 _TEICH_ENUM_LIMIT = 1 << 16
 
@@ -66,3 +68,64 @@ def irreducible_moduli(p: int, d: int) -> list[tuple[int, ...]]:
     """Every monic irreducible polynomial of degree d over GF(p), little-endian."""
     moduli = [low + (1,) for low in itertools.product(range(p), repeat=d)]
     return [m for m in moduli if _is_irreducible(m, p)]
+
+
+def fit_hermitian_form_full_system(S: PointSet) -> HermitianForm | None:
+    """A nonsingular Hermitian form vanishing on all of S, if one exists.
+
+    Solves the GF(p)-linear system over the t*(n+1)^2-dimensional space of
+    conjugate-symmetric matrices, then scans the nullspace for a nonsingular
+    member.  Returns None when no nonsingular form vanishes on S.
+    """
+    field = S.field
+    n = S.n
+    p, t = field.p, field.t
+    d = field.degree
+    pts = S.coords()
+
+    unknowns = []  # (i, j, elem) with j >= i; j == i means diagonal over GF(q)
+    for i in range(n + 1):
+        for g in _subfield_gfp_basis(field):
+            unknowns.append((i, i, g))
+    for i in range(n + 1):
+        for j in range(i + 1, n + 1):
+            for k in range(d):
+                unknowns.append((i, j, field.elem(p**k)))
+
+    rows = []
+    for P in pts:
+        conj = [frobenius(x, t) for x in P]
+        cols = []
+        for i, j, g in unknowns:
+            if i == j:
+                val = conj[i] * g * P[i]
+            else:
+                val = conj[i] * g * P[j] + conj[j] * frobenius(g, t) * P[i]
+            cols.append(val.coeffs)
+        for bit in range(d):
+            rows.append([c[bit] for c in cols])
+
+    null = nullspace_mod_p(rows, p)
+    if not null:
+        return None
+    if p ** len(null) > _FIT_ENUM_LIMIT:
+        raise ValueError(f"nullspace too large to scan ({len(null)} dims)")
+    for combo in itertools.product(range(p), repeat=len(null)):
+        if not any(combo):
+            continue
+        coeffs = [
+            sum(c * vec[k] for c, vec in zip(combo, null)) % p
+            for k in range(len(unknowns))
+        ]
+        m = [[field.zero] * (n + 1) for _ in range(n + 1)]
+        for (i, j, g), c in zip(unknowns, coeffs):
+            if not c:
+                continue
+            scalar = field.elem(c)  # encodings < p are prime-field scalars
+            m[i][j] = m[i][j] + scalar * g
+            if i != j:
+                m[j][i] = m[j][i] + scalar * frobenius(g, t)
+        form = HermitianForm(tuple(tuple(row) for row in m))
+        if form.is_nonsingular:
+            return form
+    return None

@@ -50,7 +50,7 @@ CRITERIA = {
     6: "Teichmuller characteristic function mod q^2 (q = 2, 3, 4, 5, 7, 8, 9)",
     7: "unital axioms, 2-design blocks, complement divisibility property",
     8: "Hermitian pair divisibility in complement form (200+ pairs)",
-    9: "a Hermitian form fits exactly when a = 0 (q = 3, 4)",
+    9: "a Hermitian form fits exactly when a = 0 (q = 3, 4, 5)",
 }
 for _num, _title in CRITERIA.items():
     conftest.register(_num, _title)
@@ -214,7 +214,7 @@ def test_criterion_8_pair_divisibility_complement_form(acceptance):
 def test_criterion_9_hermitian_iff_a_zero(acceptance):
     ok = True
     details = []
-    for q in (3, 4):
+    for q in (3, 4, 5):
         f = field_for_q(q)
         hits = misses = 0
         for pr in all_valid_bm_params(f):

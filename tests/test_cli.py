@@ -73,6 +73,29 @@ def test_make_and_verify_unital(tmp_path, capsys):
     assert diag["is_unital"] and diag["size"] == 28
     assert diag["blocks"] == 63
     assert diag["complement_property_I"]
+    assert diag["hermitian"]
+
+
+# (make-unital flags, whether a Hermitian form fits); (4, 0) is a valid a != 0 pair at q = 3
+VERIFY_HERMITIAN = {
+    "H(I) at q=3": (["--kind", "hermitian"], True),
+    "B-M a=4 b=0 at q=3": (["--kind", "bm", "--a", "4", "--b", "0"], False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERIFY_HERMITIAN))
+def test_verify_unital_reports_hermitian(tmp_path, capsys, case):
+    flags, hermitian = VERIFY_HERMITIAN[case]
+    path = tmp_path / "u.json"
+    assert main(["make-unital", "--q", "3", *flags, "--out", str(path)]) == 0
+    code, out, _ = run(capsys, "verify-unital", "--in", str(path))
+    diag = json.loads(out)
+    assert code == 0 and diag["is_unital"]
+    assert diag["hermitian"] is hermitian
+    assert sorted(diag) == [
+        "blocks", "complement_property_I", "hermitian", "is_unital", "line_profile",
+        "secant_lines", "size", "tangent_lines",
+    ]
 
 
 def test_make_unital_hermitian_seeded(tmp_path, capsys):
@@ -113,6 +136,7 @@ def test_verify_unital_rejects_non_unital(tmp_path, capsys):
     code, out, err = run(capsys, "verify-unital", "--in", str(path))
     assert code == 1
     assert not json.loads(out)["is_unital"]
+    assert "hermitian" not in json.loads(out)
     assert "not a unital" in err
     code, _, err = run(capsys, "verify-unital", "--in", str(tmp_path / "missing.json"))
     assert code == 2
@@ -201,6 +225,19 @@ def _flip_projection(monkeypatch):
     monkeypatch.setattr(field_for_q(3), "neg_enc", lambda a: a)
 
 
+def _misfit_form(monkeypatch):
+    from unitals import varieties
+
+    solve = varieties.nullspace_mod_p
+
+    # the fit of H(I) at q = 3 ends on one form of 9 coordinates; put diag(1, 1, 2), which misses H(I), in its place
+    def misfit(rows, p):
+        basis = solve(rows, p)
+        return [[1, 1, 2] + [0] * 6] if len(basis) == 1 and len(basis[0]) == 9 else basis
+
+    monkeypatch.setattr(varieties, "nullspace_mod_p", misfit)
+
+
 # (how to make an internal consistency check fire, argv, the message it raises)
 INTERNAL_ERRORS = {
     "non-unital source": (
@@ -218,6 +255,10 @@ INTERNAL_ERRORS = {
     ),
     "blocks design": (
         _miscount_secants, ["verify-unital", "--in", "{unital}"], "AssertionError: secant count off",
+    ),
+    "fitted form": (
+        _misfit_form, ["verify-unital", "--in", "{unital}"],
+        "AssertionError: fitted form does not vanish on the point set",
     ),
     "hensel convergence": (
         _stall_hensel, ["charfn-check", "--q", "2"], "AssertionError: Hensel iteration failed to converge",

@@ -68,3 +68,9 @@ def test_nullspace_mod_p():
     assert nullspace_mod_p([[1, 0], [0, 1]], 2) == []
     full = nullspace_mod_p([[0, 0]], 5)
     assert len(full) == 2
+
+
+def test_nullspace_mod_p_refuses_zero_rows():
+    # a matrix with no rows could have any number of columns: no right answer
+    with pytest.raises(ValueError, match="no rows"):
+        nullspace_mod_p([], 3)

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unitals.finite_field import field_for_q, frobenius, make_field
-from unitals.proj_geom import PointSet, all_points_set, enum_points
+from unitals.proj_geom import PointSet, all_points_set, enum_points, line_through
 from unitals.varieties import (
     BMParams,
     HermitianForm,
@@ -20,7 +20,12 @@ from unitals.varieties import (
     random_hermitian_form,
 )
 
-from reference_oracles import hermitian_variety_by_evaluation, irreducible_moduli, mat_mul
+from reference_oracles import (
+    fit_hermitian_form_full_system,
+    hermitian_variety_by_evaluation,
+    irreducible_moduli,
+    mat_mul,
+)
 
 
 def test_hermitian_form_validation():
@@ -273,3 +278,41 @@ def test_fit_hermitian_form_exactly_when_a_is_zero():
 def test_fit_hermitian_form_none_on_generic_sets():
     f = field_for_q(2)
     assert fit_hermitian_form(all_points_set(2, f)) is None
+
+
+def test_fit_hermitian_form_refuses_the_empty_set():
+    with pytest.raises(ValueError, match="empty set"):
+        fit_hermitian_form(PointSet(2, field_for_q(3), ()))
+
+
+def _line_of_pg2_9():
+    f = field_for_q(3)
+    pts = enum_points(2, f)
+    return [line_through(2, f, pts[0], pts[1])]
+
+
+# every set is fitted by both routes; the full-system solve is the reference
+FIT_REFERENCE_CASES = {
+    **{
+        f"B-M, every valid (a, b), q={q}": lambda q=q: [bm_unital(pr) for pr in all_valid_bm_params(field_for_q(q))]
+        for q in (3, 4, 5)
+    },
+    **{
+        f"H(2, q^2) of 30 seeded forms, q={q}": lambda q=q: [
+            hermitian_variety(random_hermitian_form(2, field_for_q(q), seed)) for seed in range(30)
+        ]
+        for q in (2, 3)
+    },
+    "H(3, 4) of 10 seeded forms": lambda: [
+        hermitian_variety(random_hermitian_form(3, field_for_q(2), seed)) for seed in range(10)
+    ],
+    "all of PG(2, 4)": lambda: [all_points_set(2, field_for_q(2))],
+    "a line of PG(2, 9)": _line_of_pg2_9,
+}
+
+
+@pytest.mark.parametrize("case", sorted(FIT_REFERENCE_CASES))
+def test_fit_matches_full_system_reference(case):
+    """The point-by-point fit returns the very form (or None) that the full-system solve returns."""
+    for S in FIT_REFERENCE_CASES[case]():
+        assert fit_hermitian_form(S) == fit_hermitian_form_full_system(S)
