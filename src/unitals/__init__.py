@@ -20,7 +20,7 @@ from .finite_field import (
     norm_q,
     trace_q,
 )
-from .galois_ring import GaloisRing, GaloisRingElem, herm_char_value, make_ring, teichmuller_lift
+from .galois_ring import GaloisRing, GaloisRingElem, herm_char_value, make_ring
 from .proj_geom import (
     IncidenceMatrix,
     PointSet,
@@ -30,8 +30,6 @@ from .proj_geom import (
     enum_subspaces,
     gaussian_binomial,
     incidence_matrix,
-    line_through,
-    normalize_point,
     point_index,
     subspace_member_indices,
 )

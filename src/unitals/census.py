@@ -47,7 +47,12 @@ def _version() -> str:
 
 
 def intersect_size(A: PointSet, B: PointSet) -> int:
-    """|A and B| computed by set intersection and by bitmask AND; must agree."""
+    """|A and B| computed by set intersection and by bitmask AND; must agree.
+
+    ValueError unless A and B lie in the same PG(n, q^2) over the same field.
+    """
+    if A.n != B.n or A.field is not B.field:
+        raise ValueError("ambient spaces differ")
     by_set = len(set(A.members).intersection(B.members))
     by_mask = (A.mask & B.mask).bit_count()
     if by_set != by_mask:

@@ -27,6 +27,7 @@ from . import __version__
 from .census import (
     DEFAULT_SAMPLES,
     DEFAULT_SEED,
+    _hist,
     bm_vs_hermitian_census,
     general_unital_congruence,
     hermitian_pair_divisibility,
@@ -36,11 +37,10 @@ from .census import (
 from .finite_field import field_for_q, make_field
 from .galois_ring import herm_char_value, make_ring
 from .padic_invariants import _snf_certified, enum_basis_monomials, monomial_invariant_exponent, type_of
-from .proj_geom import PointSet, enum_points, enum_subspaces, incidence_matrix, subspace_member_indices
+from .proj_geom import PointSet, enum_points, incidence_matrix, subspace_member_indices
 from .varieties import (
     BMParams,
     HermitianForm,
-    bm_is_valid,
     bm_unital,
     blocks_of,
     check_property_I,
@@ -135,7 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--threads", type=int, default=1, help="accepted for compatibility; ignored")
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--out")
     sp.set_defaults(func=cmd_census)
@@ -190,15 +189,7 @@ def cmd_make_unital(args) -> int:
             raise _Usage("--kind bm needs --a and --b")
         if not 0 <= args.a < field.size or not 0 <= args.b < field.size:
             raise _Usage(f"encodings must lie in [0, {field.size})")
-        params = BMParams(field.elem(args.a), field.elem(args.b))
-        if field.q <= 2:
-            raise _Usage("the Buekenhout-Metz construction needs q > 2")
-        if not bm_is_valid(params):
-            raise _Usage(
-                f"(a, b) = ({args.a}, {args.b}) is not a valid parameter pair "
-                f"over GF({field.size}): the unital criterion fails"
-            )
-        S = bm_unital(params)
+        S = bm_unital(BMParams(field.elem(args.a), field.elem(args.b)))
     else:
         if args.seed is None:
             form = HermitianForm.identity(2, field)
@@ -255,12 +246,12 @@ def cmd_invariants(args) -> int:
     result = {"n": n, "p": p, "t": t, "r": r, "rows": rows}
     code = 0
     formula = sorted(row["alpha"] for row in rows)
-    result["formula_multiset"] = _multiset(formula)
+    result["formula_multiset"] = _hist(formula)
     if args.verify_snf:
         dense = incidence_matrix(n, r, field).to_dense()
         snf, k = _snf_certified(dense, p)
         print(f"snf oracle certified modulo {p}^{k}", file=sys.stderr)
-        result["snf_multiset"] = _multiset(snf)
+        result["snf_multiset"] = _hist(snf)
         result["multisets_equal"] = list(snf) == formula
         if not result["multisets_equal"]:
             print("invariant formula disagrees with the SNF oracle", file=sys.stderr)
@@ -269,19 +260,12 @@ def cmd_invariants(args) -> int:
     return code
 
 
-def _multiset(values) -> dict:
-    out: dict[str, int] = {}
-    for v in values:
-        out[str(v)] = out.get(str(v), 0) + 1
-    return out
-
-
 def cmd_census(args) -> int:
-    if args.threads < 0:
-        raise _Usage("--threads must be >= 0")
     if args.samples < 1:
         raise _Usage("--samples must be >= 1")
     kind = args.kind
+    if kind != "hermitian-pairs" and args.n != 2:
+        raise _Usage(f"--kind {kind} lives in the plane; --n must be 2, not {args.n}")
     if kind == "kestenband":
         report = kestenband_census(_q_of(args), args.samples, args.seed)
     elif kind == "bm-vs-hermitian":

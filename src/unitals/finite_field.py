@@ -21,16 +21,7 @@ _ADD_TABLE_LIMIT = 1 << 10
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and prime_factors(n) == (n,)
 
 
 def prime_factors(n: int) -> tuple[int, ...]:
@@ -66,6 +57,7 @@ def _poly_rem(a: list[int], b: list[int], p: int) -> list[int]:
 
 
 def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
+    """a*b modulo the monic mod, coefficients mod p; p may be any modulus, e.g. p^k."""
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         if ai:
@@ -330,6 +322,14 @@ class Field:
                     acc = add(acc, exp[(log[row[j]] + lx) % n])
             out.append(acc)
         return tuple(out)
+
+    def conj_dot_enc(self, x, y) -> int:
+        """sum_i conj(x_i) * y_i on encodings, conj(x) = x^q: the Hermitian product."""
+        add, mul, conj = self.add_enc, self.mul_enc, self._conj
+        acc = 0
+        for a, b in zip(x, y):
+            acc = add(acc, mul(conj[a], b))
+        return acc
 
     def add_row_enc(self, b: int, xs: list[int]) -> list[int]:
         """[b + x for x in xs] on encodings, one add-table row per call; xs itself when b = 0."""

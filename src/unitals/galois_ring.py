@@ -4,7 +4,7 @@ make_ring(field, k) Hensel-lifts the field modulus so that the roots of the
 lifted modulus are Teichmüller units: X itself then satisfies X^(p^2t) = X in
 the ring.  Reduction mod p is coefficientwise and recovers the field.
 
-teichmuller_lift sends x in GF(p^2t) to the unique lift T(x) fixed by the
+GaloisRing.teichmuller sends x in GF(p^2t) to the unique lift T(x) fixed by the
 (p^2t)-power map; T is multiplicative, and T restricted to the subfield GF(q)
 obeys the truncated additivity T(a+b) = (T(a)+T(b))^(q^l) mod q^l.
 
@@ -20,7 +20,7 @@ returns the very element that a fresh power would; a point costs additions.
 
 from __future__ import annotations
 
-from .finite_field import Field, FieldElem
+from .finite_field import Field, FieldElem, _poly_mul_mod
 
 MAX_PRECISION = 64
 
@@ -59,7 +59,8 @@ class GaloisRingElem:
 
     def __mul__(self, other):
         other = self._check(other)
-        return GaloisRingElem(self.ring, self.ring._mul(self.coeffs, other.coeffs))
+        ring = self.ring
+        return GaloisRingElem(ring, tuple(_poly_mul_mod(self.coeffs, other.coeffs, ring.modulus, ring.pk)))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -96,25 +97,16 @@ class GaloisRingElem:
 
     def to_field(self) -> FieldElem:
         """Reduction mod p, as an element of the companion field."""
-        field = self.ring.field
-        if field is None:
-            raise ValueError("ring has no companion field")
-        return field.from_coeffs([c % self.ring.p for c in self.coeffs])
+        return self.ring.field.from_coeffs([c % self.ring.p for c in self.coeffs])
 
     def __repr__(self):
         return f"GR({self.ring.p}^{self.ring.k},{self.ring.degree}):{self.coeffs}"
 
 
 class GaloisRing:
-    """Z/p^k[X]/(modulus); modulus monic with coefficients mod p^k."""
+    """Z/p^k[X]/(modulus); modulus monic with coefficients mod p^k, reducing mod p to field's."""
 
-    def __init__(
-        self,
-        p: int,
-        k: int,
-        modulus: tuple[int, ...],
-        field: Field | None = None,
-    ):
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...], field: Field):
         if k < 1:
             raise ValueError("k must be >= 1")
         self.p = p
@@ -126,44 +118,17 @@ class GaloisRing:
         self.modulus = modulus
         self.degree = len(modulus) - 1
         self.field = field
-        if field is not None:
-            if field.p != p or field.degree != self.degree:
-                raise ValueError("companion field does not match the ring")
-            if any(
-                (mc - fc) % p for mc, fc in zip(modulus, field.modulus)
-            ):
-                raise ValueError("modulus does not reduce to the field modulus")
-        self.zero = GaloisRingElem(self, (0,) * self.degree)
-        one = [0] * self.degree
-        one[0] = 1
-        self.one = GaloisRingElem(self, tuple(one))
-        if self.degree >= 2:
-            gen = [0] * self.degree
-            gen[1] = 1
-            self.gen = GaloisRingElem(self, tuple(gen))
-        else:
-            self.gen = self.zero
+        if field.p != p or field.degree != self.degree:
+            raise ValueError("companion field does not match the ring")
+        if any((mc - fc) % p for mc, fc in zip(modulus, field.modulus)):
+            raise ValueError("modulus does not reduce to the field modulus")
+        self.zero = self.elem(())
+        self.one = self.elem((1,))
+        self.gen = self.elem((0, 1))  # X; the field degree 2t is at least 2
         self._teich: dict[int, GaloisRingElem] = {}
         # herm_char_value memo: x.enc -> T(x)^(q+1); (ell, acc.coeffs) -> acc^E
         self._norm: dict[int, GaloisRingElem] = {}
         self._char: dict[tuple[int, tuple[int, ...]], GaloisRingElem] = {}
-
-    def _mul(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-        pk = self.pk
-        d = self.degree
-        out = [0] * (2 * d - 1 if d > 1 else 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] = (out[i + j] + ai * bj) % pk
-        # reduce by the monic modulus
-        for i in range(len(out) - 1, d - 1, -1):
-            c = out[i]
-            if c:
-                out[i] = 0
-                for j in range(d):
-                    out[i - d + j] = (out[i - d + j] - c * self.modulus[j]) % pk
-        return tuple(out[:d])
 
     def elem(self, coeffs) -> GaloisRingElem:
         coeffs = list(coeffs)
@@ -179,7 +144,7 @@ class GaloisRing:
 
     def teichmuller(self, x: FieldElem) -> GaloisRingElem:
         """The Teichmüller lift T(x): reduces to x, fixed by ^(p^degree)."""
-        if self.field is None or x.field is not self.field:
+        if x.field is not self.field:
             raise ValueError("element does not belong to the companion field")
         cached = self._teich.get(x.enc)
         if cached is not None:
@@ -192,7 +157,7 @@ class GaloisRing:
                 break
             y = nxt
         else:
-            raise AssertionError("Teichmüller iteration failed to converge")
+            raise AssertionError("Hensel iteration failed to converge")
         assert y.to_field() == x
         self._teich[x.enc] = y
         return y
@@ -205,18 +170,9 @@ def make_ring(field: Field, k: int) -> GaloisRing:
     """GR(p^k, 2t) over `field`, modulus lifted so its roots are Teichmüller."""
     if k > MAX_PRECISION:
         raise ValueError(f"ring precision k = {k} exceeds {MAX_PRECISION}")
-    p = field.p
-    d = field.degree
-    naive = GaloisRing(p, k, tuple(int(c) for c in field.modulus), field=None)
-    tau = naive.gen
-    e = p**d
-    for _ in range(k + 2):
-        nxt = tau**e
-        if nxt == tau:
-            break
-        tau = nxt
-    else:
-        raise AssertionError("Hensel iteration failed to converge")
+    p, d = field.p, field.degree
+    naive = GaloisRing(p, k, field.modulus, field)
+    tau = naive.teichmuller(field.elem(p))  # the lift of X, whose encoding is p
     # minimal polynomial of tau: product of (Y - tau^(p^i)) over the orbit
     poly = [naive.one]  # coefficients in the scratch ring, little-endian in Y
     conj = tau
@@ -239,10 +195,6 @@ def make_ring(field: Field, k: int) -> GaloisRing:
     return ring
 
 
-def teichmuller_lift(ring: GaloisRing, x: FieldElem) -> GaloisRingElem:
-    return ring.teichmuller(x)
-
-
 def herm_char_value(ring: GaloisRing, point, ell: int) -> GaloisRingElem:
     """(sum_i T(x_i)^(q+1))^(q^(2l+1) - q^(2l)) in the ring.
 
@@ -252,8 +204,6 @@ def herm_char_value(ring: GaloisRing, point, ell: int) -> GaloisRingElem:
     element the uncached evaluation gives, and the guard runs before any lookup.
     """
     field = ring.field
-    if field is None:
-        raise ValueError("ring has no companion field")
     if ell < 1:
         raise ValueError("ell must be >= 1")
     if ring.k < 2 * field.t * ell:

@@ -54,19 +54,6 @@ def gaussian_binomial(m: int, r: int, Q: int) -> int:
     return num // den
 
 
-def normalize_point(coords) -> tuple[FieldElem, ...]:
-    """Scale so the first nonzero coordinate is 1; rejects the zero vector."""
-    coords = tuple(coords)
-    for c in coords:
-        if c:
-            field = c.field
-            if c == field.one:
-                return coords
-            inv = field.one / c
-            return tuple(x * inv for x in coords)
-    raise ValueError("zero vector has no projective point")
-
-
 class _Space:
     """Cached enumeration data for PG(n, q^2); internal."""
 
@@ -275,14 +262,6 @@ class PointSet:
     def mask(self) -> int:
         return _mask_of(self.members)
 
-    def _check_ambient(self, other: PointSet):
-        if other.n != self.n or other.field is not self.field:
-            raise ValueError("ambient spaces differ")
-
-    def intersect(self, other: PointSet) -> PointSet:
-        self._check_ambient(other)
-        return PointSet.of(self.n, self.field, set(self.members) & set(other.members))
-
     def complement(self) -> PointSet:
         mem = set(self.members)
         return PointSet(
@@ -335,21 +314,7 @@ def all_points_set(n: int, field: Field) -> PointSet:
 
 
 # ---------------------------------------------------------------------------
-# lines and collineations
-
-
-def line_through(n: int, field: Field, P, Q) -> PointSet:
-    """The q^2+1 points of the line spanned by two distinct points."""
-    P = normalize_point(P)
-    Q = normalize_point(Q)
-    if P == Q:
-        raise ValueError("line_through needs two distinct points")
-    ids = [point_index(n, field, Q)]
-    for c in field.elements:
-        coords = tuple(a + c * b for a, b in zip(P, Q))
-        ids.append(point_index(n, field, coords))
-    assert len(set(ids)) == field.size + 1
-    return PointSet.of(n, field, ids)
+# collineations
 
 
 def apply_collineation(M, S: PointSet) -> PointSet:

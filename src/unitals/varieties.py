@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
@@ -71,7 +72,7 @@ class HermitianForm:
         """P^dagger C P, the 1 x 1 product conj(P)^T (C P); always lands in GF(q)."""
         f = self.field
         x = tuple(c.enc for c in coords)
-        return f.elem(f.mat_vec_enc((tuple(f._conj[e] for e in x),), f.mat_vec_enc(self._enc_matrix, x))[0])
+        return f.elem(f.conj_dot_enc(x, f.mat_vec_enc(self._enc_matrix, x)))
 
     @staticmethod
     def identity(n: int, field: Field) -> HermitianForm:
@@ -121,11 +122,11 @@ def _unitary_frame(form: HermitianForm) -> tuple[tuple[int, ...], ...]:
     recomputed from M alone before M is returned; AssertionError if not.
     """
     f, n1, C = form.field, form.n + 1, form._enc_matrix
-    add, mul, neg, conj, log, exp = f.add_enc, f.mul_enc, f.neg_enc, f._conj, f._log, f._exp
+    add, mul, neg, log, exp = f.add_enc, f.mul_enc, f.neg_enc, f._log, f._exp
 
     # each basis vector b carries C b in its last n+1 slots; every step below is linear in b
     def h(u, w):
-        return reduce(add, map(mul, map(conj.__getitem__, u[:n1]), w[n1:]))
+        return f.conj_dot_enc(u[:n1], w[n1:])
 
     def axpy(a, x, y):  # a*x + y
         return [add(mul(a, xi), yi) for xi, yi in zip(x, y)]
@@ -147,9 +148,9 @@ def _unitary_frame(form: HermitianForm) -> tuple[tuple[int, ...], ...]:
         v = [mul(exp[-m // (f.q + 1) % (f.size - 1)], x) for x in v]
         basis = [axpy(neg(h(v, b)), v, b) for b in basis]
         cols.append(v[:n1])
-    M_dagger = [[conj[e] for e in v] for v in cols]
     for j, v in enumerate(cols):  # column j of M^dagger C M is M^dagger (C v)
-        if f.mat_vec_enc(M_dagger, f.mat_vec_enc(C, v)) != tuple(int(i == j) for i in range(n1)):
+        Cv = f.mat_vec_enc(C, v)
+        if [f.conj_dot_enc(u, Cv) for u in cols] != [int(i == j) for i in range(n1)]:
             raise AssertionError("unitary frame certificate M^dagger C M = I failed")
     return tuple(zip(*cols))
 
@@ -253,7 +254,8 @@ def bm_unital(params: BMParams) -> PointSet:
         raise ValueError("the Buekenhout-Metz construction needs q > 2")
     if not bm_is_valid(params):
         raise ValueError(
-            f"(a, b) = ({params.a.enc}, {params.b.enc}) fails the validity criterion"
+            f"(a, b) = ({params.a.enc}, {params.b.enc}) is not a valid parameter pair "
+            f"over GF({field.size}): the unital criterion fails"
         )
     return PointSet(2, field, _bm_point_ids(field, params.a, params.b))
 
@@ -305,40 +307,45 @@ class UnitalCheck:
         return self.ok
 
 
-def is_unital_embedded(S: PointSet) -> UnitalCheck:
-    """Check |S| = q^3+1 and every line meets S in 1 or q+1 points."""
+def _sections(S: PointSet, r: int):
+    """|V & S| for each r-dim subspace V, in enumeration order: one popcount per subspace."""
+    smask = S.mask
+    return ((m & smask).bit_count() for m in _space(S.n, S.field).subspace_masks(r))
+
+
+def _line_sections(S: PointSet) -> tuple[UnitalCheck, list[int]]:
+    """The unital check of a plane set, with the line sections it was read from."""
     if S.n != 2:
         raise ValueError("unital check lives in a projective plane (n = 2)")
-    field = S.field
-    q = field.q
-    hist: dict[int, int] = {}
-    smask = S.mask
-    for lm in _space(2, field).subspace_masks(2):
-        c = (lm & smask).bit_count()
-        hist[c] = hist.get(c, 0) + 1
-    ok = len(S) == q**3 + 1 and set(hist) <= {1, q + 1}
-    return UnitalCheck(
-        ok=ok,
+    q = S.field.q
+    counts = list(_sections(S, 2))
+    hist = Counter(counts)
+    check = UnitalCheck(
+        ok=len(S) == q**3 + 1 and set(hist) <= {1, q + 1},
         size=len(S),
-        tangent_count=hist.get(1, 0),
-        secant_count=hist.get(q + 1, 0),
+        tangent_count=hist[1],
+        secant_count=hist[q + 1],
         profile=tuple(sorted(hist.items())),
     )
+    return check, counts
+
+
+def is_unital_embedded(S: PointSet) -> UnitalCheck:
+    """Check |S| = q^3+1 and every line meets S in 1 or q+1 points."""
+    return _line_sections(S)[0]
 
 
 def blocks_of(S: PointSet) -> tuple[tuple[int, ...], ...]:
     """Secant-line sections of a unital, verified as a 2-(q^3+1, q+1, 1) design."""
-    check = is_unital_embedded(S)
+    check, counts = _line_sections(S)
     if not check.ok:
         raise ValueError(f"not a unital: profile {check.profile}, size {check.size}")
     q = S.field.q
-    sp = _space(2, S.field)
-    smask = S.mask
     members = set(S.members)
     blocks = tuple(
         tuple(i for i in ids if i in members)
-        for ids, lm in zip(sp.subspace_point_indices(2), sp.subspace_masks(2))
-        if (lm & smask).bit_count() == q + 1
+        for ids, c in zip(_space(2, S.field).subspace_point_indices(2), counts)
+        if c == q + 1
     )
     _check_design(S.members, blocks, q + 1, q * q * (q * q - q + 1))
     return blocks
@@ -375,11 +382,7 @@ def check_property_I(S: PointSet, r: int, beta: int) -> bool:
     if not 1 < r <= S.n:
         raise ValueError(f"r = {r} must lie in (1, {S.n}]")
     pb = S.field.p**beta
-    smask = S.mask
-    return all(
-        (m & smask).bit_count() % pb == 0
-        for m in _space(S.n, S.field).subspace_masks(r)
-    )
+    return all(c % pb == 0 for c in _sections(S, r))
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +448,7 @@ def fit_hermitian_form(S: PointSet) -> HermitianForm | None:
         return m
 
     def value(m, x):  # conj(x)^T (m x)
-        return reduce(add, map(mul, map(conj.__getitem__, x), mat_vec(m, x)))
+        return field.conj_dot_enc(x, mat_vec(m, x))
 
     pts = [_space(S.n, field).points[i] for i in S.members]
     null = [[int(r == c) for c in range(u)] for r in range(u)]

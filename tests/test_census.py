@@ -31,6 +31,17 @@ def test_intersect_size_dual_route():
     assert intersect_size(a, PointSet.of(2, f, [0])) == 0
 
 
+@pytest.mark.parametrize("other", ["mixed field", "mixed n"])
+def test_intersect_size_refuses_different_ambient_spaces(other):
+    """Indices of different spaces name different points; comparing them is an error."""
+    A = canonical_hermitian_unital(field_for_q(3))
+    B = canonical_hermitian_unital(field_for_q(4)) if other == "mixed field" else all_points_set(3, field_for_q(3))
+    with pytest.raises(ValueError, match="^ambient spaces differ$"):
+        intersect_size(A, B)
+    with pytest.raises(ValueError, match="^ambient spaces differ$"):
+        intersect_size(B, A)
+
+
 def test_canonical_and_collineated_unitals():
     f = field_for_q(3)
     base = canonical_hermitian_unital(f)

@@ -327,8 +327,6 @@ def test_census_cli_other_kinds(capsys):
     assert code == 0
     code, _, err = run(capsys, "census", "--kind", "kestenband", "--q", "7")
     assert code == 2
-    code, _, err = run(capsys, "census", "--kind", "kestenband", "--q", "2", "--threads", "-1")
-    assert code == 2
 
 
 @pytest.mark.parametrize("samples", ["0", "-5"])
@@ -340,14 +338,21 @@ def test_census_cli_rejects_samples_below_one(capsys, kind, samples):
     assert err == "error: --samples must be >= 1\n"
 
 
-def test_census_cli_threads_match(tmp_path, capsys):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    run(capsys, "census", "--kind", "kestenband", "--q", "2", "--samples", "8",
-        "--seed", "5", "--out", str(a))
-    run(capsys, "census", "--kind", "kestenband", "--q", "2", "--samples", "8",
-        "--seed", "5", "--threads", "2", "--out", str(b))
-    assert a.read_text() == b.read_text()
+@pytest.mark.parametrize("n", ["1", "3", "7"])
+@pytest.mark.parametrize("kind", ["kestenband", "bm-vs-hermitian", "general", "nonhermitian-scan"])
+def test_census_cli_plane_kinds_reject_n(capsys, kind, n):
+    """The plane-only kinds refuse any --n but 2 instead of ignoring it."""
+    code, out, err = run(capsys, "census", "--kind", kind, "--q", "3", "--n", n, "--samples", "3")
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --kind {kind} lives in the plane; --n must be 2, not {n}\n"
+
+
+def test_census_cli_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", "--kind", "kestenband", "--q", "2", "--threads", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
 
 
 def test_charfn_check(capsys):

@@ -1,5 +1,10 @@
-"""Smoke test: every demo script runs to completion and prints its tour."""
+"""Every demo script runs to completion and prints exactly its pinned tour.
 
+The digests are the sha256 of each demo's stdout; the output is the same
+under any PYTHONHASHSEED, so a changed digest means a changed answer.
+"""
+
+import hashlib
 import os
 import subprocess
 import sys
@@ -11,9 +16,18 @@ import unitals
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
+STDOUT_SHA256 = {
+    "01_fields_and_planes": "de8aeb18178646bba3eb19e96c7ab56ce09ae753978c5eda0771b4a153fbfbb6",
+    "02_unitals": "df5952f7f0312f54856953a9b3b5037af1354e5a9d895b976bc3c3cd41272dcb",
+    "03_invariants_and_snf": "4fb3bff908c08ed7a1f67f047378ffd39f376ed32f034085294a0f40ef900b58",
+    "04_censuses": "7fd1cc515bff991d9898aaa2b423a0474eebb05d17ed9ca4295b0ac0cdefeb0d",
+    "05_teichmuller": "8824df23d036b34fb6d7e16ad77cc4608f760002fc008868735bac71b9736dca",
+}
+
 
 def test_all_five_demos_found():
     assert len(DEMOS) == 5
+    assert sorted(demo.stem for demo in DEMOS) == sorted(STDOUT_SHA256)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
@@ -25,3 +39,4 @@ def test_demo_runs(demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == STDOUT_SHA256[demo.stem]

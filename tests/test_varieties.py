@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unitals.finite_field import field_for_q, frobenius, make_field
-from unitals.proj_geom import PointSet, all_points_set, enum_points, line_through
+from unitals.proj_geom import PointSet, all_points_set, enum_points, subspace_member_indices
 from unitals.varieties import (
     BMParams,
     HermitianForm,
@@ -287,8 +287,7 @@ def test_fit_hermitian_form_refuses_the_empty_set():
 
 def _line_of_pg2_9():
     f = field_for_q(3)
-    pts = enum_points(2, f)
-    return [line_through(2, f, pts[0], pts[1])]
+    return [PointSet(2, f, next(ids for ids in subspace_member_indices(2, 2, f) if {0, 1} <= set(ids)))]
 
 
 # every set is fitted by both routes; the full-system solve is the reference
