@@ -37,10 +37,8 @@ from .padic_invariants import (
     TypeTuples,
     digit_sum,
     enum_basis_monomials,
-    factorial_val,
     invariant_exponent,
     monomial_invariant_exponent,
-    multinomial_val,
     snf_valuation_multiset,
     theta_bound,
     type_of,

@@ -23,27 +23,24 @@ import json
 import random
 from dataclasses import dataclass, field as dc_field
 
+from . import __version__
 from .finite_field import Field, field_for_q
+from .linalg import det_enc
 from .padic_invariants import theta_bound, val_p
-from .proj_geom import PointSet, apply_collineation, gaussian_binomial
+from .proj_geom import PointSet, _image_enc, gaussian_binomial
 from .varieties import (
     BMParams,
     HermitianForm,
+    _canonical_variety,
+    _draw_form,
     all_valid_bm_params,
     bm_unital,
     hermitian_variety,
     is_unital_embedded,
-    random_hermitian_form,
 )
 
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 200
-
-
-def _version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 def intersect_size(A: PointSet, B: PointSet) -> int:
@@ -131,7 +128,7 @@ def _run(kind: str, config: dict, tasks, measure, summarise) -> CensusReport:
     records = [measure(task) for task in tasks]
     summary = summarise(records)
     summary["ok"] = bool(records) and all(r.ok for r in records)
-    config["version"] = _version()
+    config["version"] = __version__
     return CensusReport(kind=kind, config=config, records=records, summary=summary)
 
 
@@ -143,7 +140,7 @@ def _hist(values) -> dict[str, int]:
 
 
 def _form_desc(form: HermitianForm, **extra) -> dict:
-    d = {"kind": "hermitian_form", "matrix": [[e.enc for e in row] for row in form.matrix]}
+    d = {"kind": "hermitian_form", "matrix": [list(row) for row in form._enc_matrix]}
     d.update(extra)
     return d
 
@@ -155,25 +152,20 @@ def _bm_desc(params: BMParams) -> dict:
 def _sample_form(n: int, field: Field, rng: random.Random) -> tuple[HermitianForm, int, int]:
     """Draw one nonsingular form; returns (form, seed used, rejected count)."""
     seed = rng.randrange(1 << 30)
-    rejects: list = []
-    form = random_hermitian_form(n, field, seed, _reject_log=rejects)
-    return form, seed, len(rejects)
+    form, rejected = _draw_form(n, field, seed)
+    return form, seed, rejected
 
 
-def _random_collineation(field: Field, n: int, rng: random.Random):
-    from .linalg import mat_det
-
+def _random_collineation(field: Field, n: int, rng: random.Random) -> tuple[tuple[int, ...], ...]:
+    """Rows of encodings of a seeded nonsingular (n+1) x (n+1) matrix."""
     while True:
-        m = tuple(
-            tuple(field.elements[rng.randrange(field.size)] for _ in range(n + 1))
-            for _ in range(n + 1)
-        )
-        if mat_det(m):
+        m = tuple(tuple(rng.randrange(field.size) for _ in range(n + 1)) for _ in range(n + 1))
+        if det_enc(field, m):
             return m
 
 
 def canonical_hermitian_unital(field: Field) -> PointSet:
-    return hermitian_variety(HermitianForm.identity(2, field))
+    return _canonical_variety(2, field)
 
 
 def collineated_hermitian_unitals(
@@ -185,11 +177,8 @@ def collineated_hermitian_unitals(
     out = []
     for _ in range(count):
         m = _random_collineation(field, 2, rng)
-        desc = {
-            "kind": "hermitian_collineated",
-            "collineation": [[e.enc for e in row] for row in m],
-        }
-        out.append((desc, apply_collineation(m, base)))
+        desc = {"kind": "hermitian_collineated", "collineation": [list(row) for row in m]}
+        out.append((desc, _image_enc(m, base)))
     return out
 
 
@@ -480,11 +469,11 @@ def nonhermitian_pair_scan(
 
     def measure(item):
         p1, p2, g = item
-        right = sets[p2] if g is None else apply_collineation(g, sets[p2])
+        right = sets[p2] if g is None else _image_enc(g, sets[p2])
         size = intersect_size(sets[p1], right)
         desc = _bm_desc(p2)
         if g is not None:
-            desc = dict(desc, collineation=[[e.enc for e in row] for row in g])
+            desc = dict(desc, collineation=[list(row) for row in g])
         return CensusRecord(
             left=_bm_desc(p1),
             right=desc,

@@ -37,10 +37,11 @@ from .census import (
 from .finite_field import field_for_q, make_field
 from .galois_ring import herm_char_value, make_ring
 from .padic_invariants import _snf_certified, enum_basis_monomials, monomial_invariant_exponent, type_of
-from .proj_geom import PointSet, enum_points, incidence_matrix, subspace_member_indices
+from .proj_geom import PointSet, _space, enum_points, incidence_matrix, subspace_member_indices
 from .varieties import (
     BMParams,
     HermitianForm,
+    _canonical_variety,
     bm_unital,
     blocks_of,
     check_property_I,
@@ -51,10 +52,6 @@ from .varieties import (
 )
 
 
-class _Usage(Exception):
-    pass
-
-
 def _resolve_field(args):
     q = getattr(args, "q", None)
     p = getattr(args, "p", None)
@@ -62,10 +59,10 @@ def _resolve_field(args):
     if q is not None:
         field = field_for_q(q)
         if p is not None and field.p != p or t is not None and field.t != t:
-            raise _Usage(f"--q {q} conflicts with --p/--t")
+            raise ValueError(f"--q {q} conflicts with --p/--t")
         return field
     if p is None or t is None:
-        raise _Usage("need --q, or both --p and --t")
+        raise ValueError("need --q, or both --p and --t")
     return make_field(p, t)
 
 
@@ -133,7 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["kestenband", "bm-vs-hermitian", "general", "hermitian-pairs", "nonhermitian-scan"],
         required=True,
     )
-    sp.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
+    sp.add_argument(
+        "--samples", type=int, help=f"pairs to draw (default {DEFAULT_SAMPLES}; not for bm-vs-hermitian, general)"
+    )
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.add_argument("--out")
@@ -170,11 +169,11 @@ def cmd_enum(args) -> int:
     field = _resolve_field(args)
     n = args.n
     if args.what == "points":
-        items = [[e.enc for e in pt] for pt in enum_points(n, field)]
+        items = [list(pt) for pt in _space(n, field).points]
     elif args.what in ("lines", "subspaces"):
         r = 2 if args.what == "lines" else args.r
         if r is None:
-            raise _Usage("--what subspaces needs --r")
+            raise ValueError("--what subspaces needs --r")
         items = [list(ids) for ids in subspace_member_indices(n, r, field)]
     else:
         items = [list(m) for m in enum_basis_monomials(n, field)]
@@ -186,9 +185,9 @@ def cmd_make_unital(args) -> int:
     field = _resolve_field(args)
     if args.kind == "bm":
         if args.a is None or args.b is None:
-            raise _Usage("--kind bm needs --a and --b")
+            raise ValueError("--kind bm needs --a and --b")
         if not 0 <= args.a < field.size or not 0 <= args.b < field.size:
-            raise _Usage(f"encodings must lie in [0, {field.size})")
+            raise ValueError(f"encodings must lie in [0, {field.size})")
         S = bm_unital(BMParams(field.elem(args.a), field.elem(args.b)))
     else:
         if args.seed is None:
@@ -229,7 +228,7 @@ def cmd_invariants(args) -> int:
     field = _resolve_field(args)
     n, r = args.n, args.r
     if not 1 < r <= n:
-        raise _Usage(f"--r must lie in [2, {n}]")
+        raise ValueError(f"--r must lie in [2, {n}]")
     p, t = field.p, field.t
     rows = []
     for m in enum_basis_monomials(n, field):
@@ -261,21 +260,24 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_census(args) -> int:
-    if args.samples < 1:
-        raise _Usage("--samples must be >= 1")
+    if args.samples is not None and args.samples < 1:
+        raise ValueError("--samples must be >= 1")
     kind = args.kind
     if kind != "hermitian-pairs" and args.n != 2:
-        raise _Usage(f"--kind {kind} lives in the plane; --n must be 2, not {args.n}")
+        raise ValueError(f"--kind {kind} lives in the plane; --n must be 2, not {args.n}")
+    if kind in ("bm-vs-hermitian", "general") and args.samples is not None:
+        raise ValueError(f"--kind {kind} sweeps every valid B-M pair; it takes no --samples")
+    samples = args.samples or DEFAULT_SAMPLES
     if kind == "kestenband":
-        report = kestenband_census(_q_of(args), args.samples, args.seed)
+        report = kestenband_census(_q_of(args), samples, args.seed)
     elif kind == "bm-vs-hermitian":
         report = bm_vs_hermitian_census(_q_of(args), seed=args.seed)
     elif kind == "general":
         report = general_unital_congruence(_q_of(args), seed=args.seed)
     elif kind == "hermitian-pairs":
-        report = hermitian_pair_divisibility(args.n, _q_of(args), args.samples, args.seed)
+        report = hermitian_pair_divisibility(args.n, _q_of(args), samples, args.seed)
     else:
-        report = nonhermitian_pair_scan(_q_of(args), args.samples, args.seed)
+        report = nonhermitian_pair_scan(_q_of(args), samples, args.seed)
     text = report.to_json() if args.format == "json" else report.to_csv()
     _emit(text, args.out)
     print(json.dumps({"kind": report.kind, "summary": report.summary}, sort_keys=True), file=sys.stderr)
@@ -294,11 +296,10 @@ def _q_of(args) -> int:
 def cmd_charfn(args) -> int:
     field = _resolve_field(args)
     if args.ell < 1:
-        raise _Usage("--ell must be >= 1")
+        raise ValueError("--ell must be >= 1")
     ell = args.ell
     ring = make_ring(field, 2 * field.t * ell)
-    form = HermitianForm.identity(2, field)
-    H = hermitian_variety(form)
+    H = _canonical_variety(2, field)
     zero, one = ring.zero, ring.one
     mismatches = []
     for i, pt in enumerate(enum_points(2, field)):
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (_Usage, ValueError, OSError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

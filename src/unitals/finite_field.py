@@ -108,8 +108,7 @@ class FieldElem:
     @property
     def coeffs(self) -> tuple[int, ...]:
         """Polynomial-basis coefficients, little-endian, length 2t."""
-        p, e = self.field.p, self.enc
-        return tuple((e // p**i) % p for i in range(self.field.degree))
+        return tuple(self.field._enc_to_poly(self.enc))
 
     @property
     def in_subfield(self) -> bool:

@@ -57,27 +57,6 @@ def val_p(u: int, p: int) -> int:
     return v
 
 
-def factorial_val(n: int, p: int) -> int:
-    """v_p(n!) = (n - sigma_p(n)) / (p - 1)."""
-    if n < 0:
-        raise ValueError("factorial_val needs n >= 0")
-    return (n - digit_sum(n, p)) // (p - 1)
-
-
-def multinomial_val(total: int, parts, p: int) -> int:
-    """v_p of the multinomial coefficient total! / prod(parts_i!).
-
-    Equals (sum_i sigma_p(parts_i) - sigma_p(total)) / (p-1), the number of
-    carries when adding the parts in base p.
-    """
-    parts = list(parts)
-    if any(k < 0 for k in parts) or sum(parts) != total:
-        raise ValueError("parts must be nonnegative and sum to total")
-    num = sum(digit_sum(k, p) for k in parts) - digit_sum(total, p)
-    assert num % (p - 1) == 0
-    return num // (p - 1)
-
-
 # ---------------------------------------------------------------------------
 # basis monomials and their type tuples
 
@@ -104,7 +83,6 @@ def enum_basis_monomials(n: int, field: Field) -> tuple[tuple[int, ...], ...]:
 class TypeTuples(NamedTuple):
     lam: tuple[int, ...]
     s: tuple[int, ...]
-    twisted_degrees: tuple[int, ...]  # (q^2-1) * s_j, degrees of the p^j twists
 
 
 def type_of(m: tuple[int, ...], p: int, t: int) -> TypeTuples:
@@ -129,9 +107,7 @@ def type_of(m: tuple[int, ...], p: int, t: int) -> TypeTuples:
     lam = [sum((b // p**j) % p for b in m) for j in range(d)]
     for j in range(d):
         assert lam[j] == p * s[(j + 1) % d] - s[j], "digit recursion violated"
-    return TypeTuples(
-        lam=tuple(lam), s=tuple(s), twisted_degrees=tuple(modq * sj for sj in s)
-    )
+    return TypeTuples(lam=tuple(lam), s=tuple(s))
 
 
 def invariant_exponent(s: tuple[int, ...], r: int) -> int:

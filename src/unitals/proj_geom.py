@@ -100,11 +100,11 @@ class _Space:
     # the per-r caches below live as long as the _Space, which _space keeps for the process
     @cache
     def subspaces(self, r: int) -> tuple:
+        """RREF bases of the r-dim subspaces as rows of encodings, in enumeration order."""
         if not 1 <= r <= self.n:
             raise ValueError(f"r = {r} must lie in [1, {self.n}]")
         n1 = self.n + 1
         field = self.field
-        zero, one = field.zero, field.one
         out = []
         for pivots in itertools.combinations(range(n1), r):
             pivot_set = set(pivots)
@@ -114,10 +114,8 @@ class _Space:
                 for j in range(pivots[i] + 1, n1)
                 if j not in pivot_set
             ]
-            base = [[zero] * n1 for _ in range(r)]
-            for i, pj in enumerate(pivots):
-                base[i][pj] = one
-            for fill in itertools.product(field.elements, repeat=len(free)):
+            base = [[int(j == pj) for j in range(n1)] for pj in pivots]
+            for fill in itertools.product(range(field.size), repeat=len(free)):
                 rows = [list(row) for row in base]
                 for (i, j), v in zip(free, fill):
                     rows[i][j] = v
@@ -137,7 +135,7 @@ class _Space:
             # j >= nxt, the pivot of basis[k+1]; every span coordinate before nxt is 0
             span, nxt, size = {}, n1, 1
             for k in range(r - 1, -1, -1):
-                row = [x.enc for x in basis[k]]
+                row = basis[k]
                 pk = row.index(1)
                 # the points row + span: coordinates pk+1 .. nxt-1 are those of row alone
                 part = [offsets[pk] + sum(row[j] * weights[j] for j in range(pk + 1, nxt))] * size
@@ -189,7 +187,10 @@ def point_index(n: int, field: Field, coords) -> int:
 
 def enum_subspaces(n: int, r: int, field: Field) -> tuple:
     """RREF basis matrices of all r-dim subspaces of GF(q^2)^(n+1)."""
-    return _space(n, field).subspaces(r)
+    elems = field.elements
+    return tuple(
+        tuple(tuple(elems[e] for e in row) for row in basis) for basis in _space(n, field).subspaces(r)
+    )
 
 
 def subspace_member_indices(n: int, r: int, field: Field) -> tuple[tuple[int, ...], ...]:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, reduce
 
 from .finite_field import Field, FieldElem, abs_trace, frobenius, is_square
-from .linalg import det_enc, mat_det, nullspace_mod_p
+from .linalg import det_enc, nullspace_mod_p
 from .proj_geom import PointSet, _image_enc, _mask_of, _space
 
 _FIT_ENUM_LIMIT = 1 << 20
@@ -42,15 +42,14 @@ class HermitianForm:
     matrix: tuple[tuple[FieldElem, ...], ...]
 
     def __post_init__(self):
-        m = self.matrix
-        field = m[0][0].field
-        t = field.t
-        for i in range(len(m)):
-            if len(m[i]) != len(m):
-                raise ValueError("matrix must be square")
-            for j in range(len(m)):
-                if m[j][i] != frobenius(m[i][j], t):
-                    raise ValueError("matrix is not conjugate-symmetric")
+        m, field = self._enc_matrix, self.field
+        if any(len(row) != len(m) for row in m):
+            raise ValueError("matrix must be square")
+        if any(x.field is not field for row in self.matrix for x in row):
+            raise ValueError("mixed-field matrix")
+        conj = field._conj
+        if any(m[j][i] != conj[x] for i, row in enumerate(m) for j, x in enumerate(row)):
+            raise ValueError("matrix is not conjugate-symmetric")
 
     @property
     def field(self) -> Field:
@@ -62,11 +61,16 @@ class HermitianForm:
 
     @cached_property
     def is_nonsingular(self) -> bool:
-        return bool(mat_det(self.matrix))
+        return bool(det_enc(self.field, self._enc_matrix))
 
     @cached_property
     def _enc_matrix(self) -> tuple[tuple[int, ...], ...]:
         return tuple(tuple(x.enc for x in row) for row in self.matrix)
+
+    @staticmethod
+    def _of(field: Field, rows) -> HermitianForm:
+        """The form whose matrix has these rows of encodings: the one place they are wrapped."""
+        return HermitianForm(tuple(tuple(map(field.elem, row)) for row in rows))
 
     def evaluate(self, coords) -> FieldElem:
         """P^dagger C P, the 1 x 1 product conj(P)^T (C P); always lands in GF(q)."""
@@ -76,12 +80,7 @@ class HermitianForm:
 
     @staticmethod
     def identity(n: int, field: Field) -> HermitianForm:
-        return HermitianForm(
-            tuple(
-                tuple(field.one if i == j else field.zero for j in range(n + 1))
-                for i in range(n + 1)
-            )
-        )
+        return HermitianForm._of(field, [[int(i == j) for j in range(n + 1)] for i in range(n + 1)])
 
 
 def hermitian_variety(form: HermitianForm) -> PointSet:
@@ -156,30 +155,27 @@ def _unitary_frame(form: HermitianForm) -> tuple[tuple[int, ...], ...]:
 
 
 def _random_form_candidates(n: int, field: Field, rng: random.Random):
-    sub = field.subfield_elements()
-    elems = field.elements
-    t = field.t
+    sub = field.subfield_encs
     while True:
-        m = [[field.zero] * (n + 1) for _ in range(n + 1)]
+        m = [[0] * (n + 1) for _ in range(n + 1)]
         for i in range(n + 1):
             m[i][i] = sub[rng.randrange(len(sub))]
             for j in range(i + 1, n + 1):
-                x = elems[rng.randrange(len(elems))]
-                m[i][j] = x
-                m[j][i] = frobenius(x, t)
-        yield HermitianForm(tuple(tuple(row) for row in m))
+                m[i][j] = x = rng.randrange(field.size)
+                m[j][i] = field._conj[x]
+        yield HermitianForm._of(field, m)
 
 
-def random_hermitian_form(
-    n: int, field: Field, seed: int, _reject_log: list | None = None
-) -> HermitianForm:
-    """Seeded nonsingular conjugate-symmetric matrix (rejection sampling)."""
-    rng = random.Random(seed)
-    for form in _random_form_candidates(n, field, rng):
+def _draw_form(n: int, field: Field, seed: int) -> tuple[HermitianForm, int]:
+    """Seeded rejection sampling: the first nonsingular candidate and how many singular ones preceded it."""
+    for rejected, form in enumerate(_random_form_candidates(n, field, random.Random(seed))):
         if form.is_nonsingular:
-            return form
-        if _reject_log is not None:
-            _reject_log.append(form)
+            return form, rejected
+
+
+def random_hermitian_form(n: int, field: Field, seed: int) -> HermitianForm:
+    """Seeded nonsingular conjugate-symmetric matrix (rejection sampling)."""
+    return _draw_form(n, field, seed)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +385,17 @@ def check_property_I(S: PointSet, r: int, beta: int) -> bool:
 # recovering a Hermitian form from a point set
 
 
-def _subfield_gfp_basis(field: Field) -> list[FieldElem]:
-    """A GF(p)-basis of GF(q) inside GF(q^2), greedy over encodings."""
-    p = field.p
-    basis: list[FieldElem] = []
-    echelon: list[tuple[int, ...]] = []
-    for enc in field.subfield_encs:
-        if enc == 0:
-            continue
-        vec = list(field.elem(enc).coeffs)
-        for row in echelon:
-            lead = next(i for i, c in enumerate(row) if c)
-            if vec[lead]:
-                f = vec[lead] * pow(row[lead], -1, p)
-                vec = [(a - f * b) % p for a, b in zip(vec, row)]
-        if any(vec):
-            basis.append(field.elem(enc))
-            echelon.append(tuple(vec))
-        if len(basis) == field.t:
-            break
+def _subfield_gfp_basis(field: Field) -> list[int]:
+    """Encodings of a GF(p)-basis of GF(q) inside GF(q^2), greedy over ascending encodings.
+
+    A candidate joins when the digit columns of basis + [candidate] have no GF(p) nullspace.
+    """
+    basis: list[int] = []
+    for enc in field.subfield_encs[1:]:  # subfield_encs[0] is 0
+        if not nullspace_mod_p([*zip(*map(field._enc_to_poly, [*basis, enc]))], field.p):
+            basis.append(enc)
+            if len(basis) == field.t:
+                break
     assert len(basis) == field.t
     return basis
 
@@ -432,7 +420,7 @@ def fit_hermitian_form(S: PointSet) -> HermitianForm | None:
     add, mul, conj, mat_vec = field.add_enc, field.mul_enc, field._conj, field.mat_vec_enc
 
     # (i, j, g): coordinate of entry (i, j), j >= i, along g; encodings < p are GF(p) scalars
-    diag = [g.enc for g in _subfield_gfp_basis(field)]
+    diag = _subfield_gfp_basis(field)
     unknowns = [(i, i, g) for i in range(n1) for g in diag]
     unknowns += [(i, j, p**k) for i in range(n1) for j in range(i + 1, n1) for k in range(d)]
     u = len(unknowns)
@@ -473,5 +461,5 @@ def fit_hermitian_form(S: PointSet) -> HermitianForm | None:
         if det_enc(field, m):
             if any(value(m, x) for x in pts):
                 raise AssertionError("fitted form does not vanish on the point set")
-            return HermitianForm(tuple(tuple(map(field.elem, row)) for row in m))
+            return HermitianForm._of(field, m)
     return None

@@ -86,7 +86,7 @@ def fit_hermitian_form_full_system(S: PointSet) -> HermitianForm | None:
     unknowns = []  # (i, j, elem) with j >= i; j == i means diagonal over GF(q)
     for i in range(n + 1):
         for g in _subfield_gfp_basis(field):
-            unknowns.append((i, i, g))
+            unknowns.append((i, i, field.elem(g)))
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             for k in range(d):

@@ -19,7 +19,9 @@ from unitals.census import (
 )
 from unitals.finite_field import field_for_q
 from unitals.proj_geom import PointSet, all_points_set
-from unitals.varieties import is_unital_embedded
+from unitals.varieties import HermitianForm, _canonical_variety, hermitian_variety, is_unital_embedded
+
+from reference_oracles import hermitian_variety_by_evaluation
 
 
 def test_intersect_size_dual_route():
@@ -54,6 +56,19 @@ def test_canonical_and_collineated_unitals():
         assert is_unital_embedded(U)
     again = collineated_hermitian_unitals(f, 3, seed=11)
     assert [u.members for _, u in copies] == [u.members for _, u in again]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_canonical_unital_is_the_identity_form_variety(q):
+    """canonical_hermitian_unital reads H(I) directly; it is the variety of the identity form."""
+    f = field_for_q(q)
+    assert canonical_hermitian_unital(f) == hermitian_variety(HermitianForm.identity(2, f))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_canonical_solid_variety_by_evaluation(q):
+    f = field_for_q(q)
+    assert _canonical_variety(3, f) == hermitian_variety_by_evaluation(HermitianForm.identity(3, f))
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -338,6 +338,17 @@ def test_census_cli_rejects_samples_below_one(capsys, kind, samples):
     assert err == "error: --samples must be >= 1\n"
 
 
+@pytest.mark.parametrize("samples", ["1", "50"])
+@pytest.mark.parametrize("kind", ["bm-vs-hermitian", "general"])
+def test_census_cli_sweep_kinds_reject_samples(tmp_path, capsys, kind, samples):
+    """The sweeps draw no pairs, so --samples would be ignored; they refuse it and write no report."""
+    path = tmp_path / "rep.json"
+    code, out, err = run(capsys, "census", "--kind", kind, "--q", "3", "--samples", samples, "--out", str(path))
+    assert code == 2
+    assert out == "" and not path.exists()
+    assert err == f"error: --kind {kind} sweeps every valid B-M pair; it takes no --samples\n"
+
+
 @pytest.mark.parametrize("n", ["1", "3", "7"])
 @pytest.mark.parametrize("kind", ["kestenband", "bm-vs-hermitian", "general", "nonhermitian-scan"])
 def test_census_cli_plane_kinds_reject_n(capsys, kind, n):

@@ -9,10 +9,8 @@ from unitals.finite_field import field_for_q, make_field
 from unitals.padic_invariants import (
     digit_sum,
     enum_basis_monomials,
-    factorial_val,
     invariant_exponent,
     monomial_invariant_exponent,
-    multinomial_val,
     snf_valuation_multiset,
     theta_bound,
     type_of,
@@ -65,29 +63,6 @@ def test_digit_sum_and_val():
         val_p(0, 3)
 
 
-def test_factorial_val_matches_direct():
-    import math
-
-    for p in (2, 3, 5):
-        for n in range(1, 40):
-            assert factorial_val(n, p) == val_p(math.factorial(n), p)
-        assert factorial_val(0, p) == 0
-
-
-def test_multinomial_val():
-    import math
-
-    # v_p(10 choose 4)
-    for p in (2, 3):
-        got = multinomial_val(10, (4, 6), p)
-        assert got == val_p(math.comb(10, 4), p)
-    assert multinomial_val(6, (2, 2, 2), 3) == val_p(
-        math.factorial(6) // (2 * 2 * 2), 3
-    )
-    with pytest.raises(ValueError):
-        multinomial_val(5, (2, 2), 3)  # parts must sum to total
-
-
 @pytest.mark.parametrize("q", [2, 3])
 def test_enum_basis_monomials(q):
     f = field_for_q(q)
@@ -121,7 +96,6 @@ def test_type_of_known_example():
     assert tt.s == (1, 1)
     # s_j solves lam_j = p s_{j+1} - s_j cyclically
     assert tt.lam == tuple(2 * tt.s[(j + 1) % 2] - tt.s[j] for j in range(2))
-    assert tt.twisted_degrees == tuple(3 * sj for sj in tt.s)
     with pytest.raises(ValueError):
         type_of((0, 0, 0), 2, 1)
     with pytest.raises(ValueError):

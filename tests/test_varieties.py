@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,6 +11,9 @@ from unitals.varieties import (
     HermitianForm,
     _bm_point_ids,
     _check_design,
+    _draw_form,
+    _random_form_candidates,
+    _subfield_gfp_basis,
     all_valid_bm_params,
     blocks_of,
     bm_affine_value,
@@ -39,6 +45,26 @@ def test_hermitian_form_validation():
     # a legal non-identity form
     form = HermitianForm(((f.zero, g), (g * g, f.one)))
     assert form.n == 1 and form.field is f
+    with pytest.raises(ValueError, match="square"):
+        HermitianForm(((f.one, f.zero), (f.zero,)))
+    # an entry from another field, on the diagonal (where conj(x) == x) and off it
+    h = make_field(3, 1)
+    with pytest.raises(ValueError, match="mixed-field"):
+        HermitianForm(((f.one, f.zero), (f.zero, h.one)))
+    with pytest.raises(ValueError, match="mixed-field"):
+        HermitianForm(((f.one, h.zero), (h.zero, f.one)))
+
+
+# GF(p)-basis of GF(q) as encodings, greedy over ascending encodings of the subfield
+GFP_BASIS = {
+    2: [1], 3: [1], 4: [1, 10], 5: [1], 7: [1], 8: [1, 10, 36],
+    9: [1, 15], 16: [1, 62, 90, 150], 25: [1, 200], 27: [1, 42, 327],
+}
+
+
+@pytest.mark.parametrize("q", sorted(GFP_BASIS))
+def test_subfield_gfp_basis_pinned(q):
+    assert _subfield_gfp_basis(field_for_q(q)) == GFP_BASIS[q]
 
 
 @pytest.mark.parametrize("q,size", [(2, 9), (3, 28), (4, 65), (5, 126)])
@@ -100,10 +126,6 @@ def test_hermitian_variety_matches_evaluation_reference(case, seed, data):
     assert hermitian_variety(form).members == hermitian_variety_by_evaluation(form).members
 
 
-def _form_of(f, encs):
-    return HermitianForm(tuple(tuple(f.elem(e) for e in row) for row in encs))
-
-
 # zero diagonals: Gram-Schmidt meets a basis of isotropic vectors and must combine two
 ZERO_DIAGONAL = [
     (2, ((0, 1, 0), (1, 0, 0), (0, 0, 1))),
@@ -115,7 +137,7 @@ ZERO_DIAGONAL = [
 @pytest.mark.parametrize("n,encs", ZERO_DIAGONAL)
 def test_hermitian_variety_zero_diagonal(n, encs, q):
     f = field_for_q(q)
-    form = _form_of(f, encs)
+    form = HermitianForm._of(f, encs)
     H = hermitian_variety(form)
     assert H.members == hermitian_variety_by_evaluation(form).members
     assert len(H) == len(hermitian_variety(HermitianForm.identity(n, f)))
@@ -127,10 +149,15 @@ def test_random_hermitian_form_deterministic():
     f2 = random_hermitian_form(2, f, seed=5)
     assert f1 == f2 and f1.is_nonsingular
     assert random_hermitian_form(2, f, seed=6) != f1
-    # rejection keeps only nonsingular candidates
-    log = []
-    random_hermitian_form(2, f, seed=5, _reject_log=log)
-    assert all(not cand.is_nonsingular for cand in log)
+    # rejection keeps only nonsingular candidates: the draw is the first one after `rejected` singular ones
+    total = 0
+    for seed in range(20):
+        form, rejected = _draw_form(2, f, seed)
+        cands = list(itertools.islice(_random_form_candidates(2, f, random.Random(seed)), rejected + 1))
+        assert all(not cand.is_nonsingular for cand in cands[:-1])
+        assert cands[-1] == form == random_hermitian_form(2, f, seed)
+        total += rejected
+    assert total > 0  # some seed did draw a singular candidate first
 
 
 @pytest.mark.parametrize("q", [2, 3])
