@@ -9,18 +9,23 @@ Intersection sizes are always computed twice, by set intersection and by
 bitmask AND, and the two routes must agree.
 
 Each census kind is a spec run by one pipeline (`_run`): a guard on its
-parameters, its sources (the tasks, drawn in a fixed order), a `measure`
-function that turns one task into a record and a `summarise` function over
-all records.  Reports hold no wall times, so identical configs give
-byte-identical files; timing is the caller's business.
+parameters, its pairs (left descriptor, left set, right descriptor, right
+set), drawn in a fixed order and, for the sampled kinds, lazily, a `judge`
+that reads the congruences, the verdict and any extras off one pair and its
+intersection size, and a `summarise` function over all records.  `_run` is
+the only place where a pair is intersected and a record built.  Reports hold
+no wall times, so identical configs give byte-identical files; timing is the
+caller's business.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
 from . import __version__
@@ -30,7 +35,6 @@ from .padic_invariants import theta_bound, val_p
 from .proj_geom import PointSet, _image_enc, gaussian_binomial
 from .varieties import (
     BMParams,
-    HermitianForm,
     _canonical_variety,
     _draw_form,
     all_valid_bm_params,
@@ -119,13 +123,19 @@ class CensusReport:
         return buf.getvalue()
 
 
-def _run(kind: str, config: dict, tasks, measure, summarise) -> CensusReport:
-    """The census pipeline: measure each task in order, then summarise.
+def _run(kind: str, config: dict, pairs, judge, summarise) -> CensusReport:
+    """The census pipeline: intersect each pair in order, judge it, then summarise.
 
-    `summary["ok"]` is set here and nowhere else: every record passed, and
-    there was at least one record.
+    Each pair is (left descriptor, left set, right descriptor, right set), and
+    `judge(left set, right set, size)` returns the record's (congruences, ok,
+    extra).  This is the one place where a pair is intersected and a record
+    built.  `summary["ok"]` is set here and nowhere else: every record passed,
+    and there was at least one record.
     """
-    records = [measure(task) for task in tasks]
+    records = []
+    for left, L, right, R in pairs:
+        size = intersect_size(L, R)
+        records.append(CensusRecord(left, right, size, *judge(L, R, size)))
     summary = summarise(records)
     summary["ok"] = bool(records) and all(r.ok for r in records)
     config["version"] = __version__
@@ -139,29 +149,36 @@ def _hist(values) -> dict[str, int]:
     return {str(k): v for k, v in sorted(out.items())}
 
 
-def _form_desc(form: HermitianForm, **extra) -> dict:
-    d = {"kind": "hermitian_form", "matrix": [list(row) for row in form._enc_matrix]}
-    d.update(extra)
-    return d
-
-
 def _bm_desc(params: BMParams) -> dict:
     return {"kind": "bm", "a": params.a.enc, "b": params.b.enc}
 
 
-def _sample_form(n: int, field: Field, rng: random.Random) -> tuple[HermitianForm, int, int]:
-    """Draw one nonsingular form; returns (form, seed used, rejected count)."""
-    seed = rng.randrange(1 << 30)
-    form, rejected = _draw_form(n, field, seed)
-    return form, seed, rejected
+def _form_pairs(n: int, field: Field, seed: int, redraws: Counter):
+    """Endless seeded pairs of nonsingular forms, as (descriptor, variety) for each side.
 
-
-def _random_collineation(field: Field, n: int, rng: random.Random) -> tuple[tuple[int, ...], ...]:
-    """Rows of encodings of a seeded nonsingular (n+1) x (n+1) matrix."""
+    Each form is drawn by `_draw_form` from its own seed, taken from
+    random.Random(seed); redraws["degenerate"] counts the singular candidates
+    rejected on the way.
+    """
+    rng = random.Random(seed)
     while True:
-        m = tuple(tuple(rng.randrange(field.size) for _ in range(n + 1)) for _ in range(n + 1))
-        if det_enc(field, m):
-            return m
+        pair = []
+        for _ in range(2):
+            s = rng.randrange(1 << 30)
+            form, rejected = _draw_form(n, field, s)
+            redraws["degenerate"] += rejected
+            desc = {"kind": "hermitian_form", "matrix": [list(row) for row in form._enc_matrix], "seed": s}
+            pair += [desc, hermitian_variety(form)]
+        yield pair
+
+
+def _collineated(desc: dict, S: PointSet, rng: random.Random) -> tuple[dict, PointSet]:
+    """The image g.S under a seeded nonsingular g, and desc with g's rows of encodings added."""
+    field, n1 = S.field, S.n + 1
+    while True:
+        g = tuple(tuple(rng.randrange(field.size) for _ in range(n1)) for _ in range(n1))
+        if det_enc(field, g):
+            return dict(desc, collineation=[list(row) for row in g]), _image_enc(g, S)
 
 
 def canonical_hermitian_unital(field: Field) -> PointSet:
@@ -174,22 +191,14 @@ def collineated_hermitian_unitals(
     """Images of the canonical Hermitian unital under seeded projectivities."""
     rng = random.Random(seed)
     base = canonical_hermitian_unital(field)
-    out = []
-    for _ in range(count):
-        m = _random_collineation(field, 2, rng)
-        desc = {"kind": "hermitian_collineated", "collineation": [list(row) for row in m]}
-        out.append((desc, _image_enc(m, base)))
-    return out
+    return [_collineated({"kind": "hermitian_collineated"}, base, rng) for _ in range(count)]
 
 
-def _sweep(field: Field, seed: int, hermitian_samples: int, unitals: list) -> tuple[list, list]:
-    """Every unital against the canonical Hermitian unital and its seeded images.
-
-    Returns (hermitians, tasks); each task is (unital entry, H descriptor, H).
-    """
+def _sweep(field: Field, seed: int, hermitian_samples: int, unitals: list):
+    """Pairs of every unital with the canonical Hermitian unital and each of its seeded images."""
     hermitians = [({"kind": "hermitian_canonical"}, canonical_hermitian_unital(field))]
     hermitians += collineated_hermitian_unitals(field, hermitian_samples, seed)
-    return hermitians, [(u, hd, H) for u in unitals for hd, H in hermitians]
+    return ((ud, U, hd, H) for ud, U in unitals for hd, H in hermitians)
 
 
 # ---------------------------------------------------------------------------
@@ -210,31 +219,17 @@ def kestenband_census(
         raise ValueError("kestenband_census supports q in {2, 3, 4, 5}")
     field = field_for_q(q)
     allowed = {1, q + 1, q * q - q + 1, q * q + 1, q * q + q + 1, (q + 1) ** 2}
-    rng = random.Random(seed)
-    coincident = 0
-    degenerate = 0
-    pairs = []
-    while len(pairs) < samples:
-        f1, s1, rej1 = _sample_form(2, field, rng)
-        f2, s2, rej2 = _sample_form(2, field, rng)
-        degenerate += rej1 + rej2
-        H1 = hermitian_variety(f1)
-        H2 = hermitian_variety(f2)
-        if H1.members == H2.members:
-            coincident += 1
-            continue
-        pairs.append((f1, s1, H1, f2, s2, H2))
+    redraws = Counter()
 
-    def measure(item):
-        f1, s1, H1, f2, s2, H2 = item
-        size = intersect_size(H1, H2)
-        return CensusRecord(
-            left=_form_desc(f1, seed=s1),
-            right=_form_desc(f2, seed=s2),
-            size=size,
-            congruences=((q, size % q),),
-            ok=size in allowed and size % q == 1,
-        )
+    def distinct(pair):
+        coincident = pair[1].members == pair[3].members
+        redraws["coincident"] += coincident
+        return not coincident
+
+    pairs = itertools.islice(filter(distinct, _form_pairs(2, field, seed, redraws)), samples)
+
+    def judge(H1, H2, size):
+        return ((q, size % q),), size in allowed and size % q == 1, {}
 
     def summarise(records):
         return {
@@ -242,12 +237,12 @@ def kestenband_census(
             "allowed_sizes": sorted(allowed),
             "all_in_admissible_set": all(r.size in allowed for r in records),
             "all_congruent_1_mod_q": all(r.size % q == 1 for r in records),
-            "coincident_redraws": coincident,
-            "degenerate_redraws": degenerate,
+            "coincident_redraws": redraws["coincident"],
+            "degenerate_redraws": redraws["degenerate"],
         }
 
     config = dict(q=q, samples=samples, seed=seed)
-    return _run("kestenband", config, pairs, measure, summarise)
+    return _run("kestenband", config, pairs, judge, summarise)
 
 
 def bm_vs_hermitian_census(
@@ -267,29 +262,20 @@ def bm_vs_hermitian_census(
     p, t = field.p, field.t
     mod2 = p ** -(-t // 2)  # p^ceil(t/2), the weaker corollary modulus
     unitals = [(_bm_desc(pr), bm_unital(pr)) for pr in all_valid_bm_params(field)]
-    hermitians, tasks = _sweep(field, seed, hermitian_samples, unitals)
 
-    def measure(item):
-        (ud, U), hd, H = item
-        size = intersect_size(U, H)
-        return CensusRecord(
-            left=ud,
-            right=hd,
-            size=size,
-            congruences=((q, size % q), (mod2, (size - 1) % mod2)),
-            ok=size % q == 1,
-        )
+    def judge(U, H, size):
+        return ((q, size % q), (mod2, (size - 1) % mod2)), size % q == 1, {}
 
     def summarise(records):
         return {
             "valid_params": len(unitals),
-            "hermitian_sets": len(hermitians),
+            "hermitian_sets": hermitian_samples + 1,
             "pairs": len(records),
             "residues_mod_q": _hist(r.size % q for r in records),
         }
 
     config = dict(q=q, seed=seed, hermitian_samples=hermitian_samples)
-    return _run("bm_vs_hermitian", config, tasks, measure, summarise)
+    return _run("bm_vs_hermitian", config, _sweep(field, seed, hermitian_samples, unitals), judge, summarise)
 
 
 def general_unital_congruence(
@@ -321,24 +307,18 @@ def general_unital_congruence(
         if not check:
             raise fault(f"source produced a non-unital ({desc}): profile {check.profile}")
     # one complement per unital, shared by all its pairs
-    sources = [(desc, U, U.complement()) for desc, U in unitals]
-    hermitians, tasks = _sweep(field, seed, hermitian_samples, sources)
+    complements = {U: U.complement() for _, U in unitals}
 
-    def measure(item):
-        (ud, U, U_comp), hd, H = item
-        size = intersect_size(U, H)
-        comp_section = intersect_size(U_comp, H)
+    def judge(U, H, size):
+        comp_section = intersect_size(complements[U], H)
         identity_ok = comp_section == len(H) - size
         nu = val_p(size - 1, p) if size != 1 else None  # None means +infinity
         cong_ok = (size - 1) % (p**need) == 0
         div_ok = comp_section % (p**theta) == 0
-        return CensusRecord(
-            left=ud,
-            right=hd,
-            size=size,
-            congruences=((p**need, (size - 1) % (p**need)), (p**theta, comp_section % (p**theta))),
-            ok=bool(cong_ok and div_ok and identity_ok),
-            extra={
+        return (
+            ((p**need, (size - 1) % (p**need)), (p**theta, comp_section % (p**theta))),
+            bool(cong_ok and div_ok and identity_ok),
+            {
                 "nu_p_size_minus_1": nu,
                 "theta": theta,
                 "complement_section": comp_section,
@@ -350,14 +330,15 @@ def general_unital_congruence(
         nus = (r.extra["nu_p_size_minus_1"] for r in records)
         return {
             "unitals": len(unitals),
-            "hermitian_sets": len(hermitians),
+            "hermitian_sets": hermitian_samples + 1,
             "pairs": len(records),
             "theta": theta,
             "min_nu_p_size_minus_1": min((nu for nu in nus if nu is not None), default=None),
         }
 
     config = dict(q=q, seed=seed, hermitian_samples=hermitian_samples)
-    return _run("general_unital_congruence", config, tasks, measure, summarise)
+    pairs = _sweep(field, seed, hermitian_samples, unitals)
+    return _run("general_unital_congruence", config, pairs, judge, summarise)
 
 
 def hermitian_pair_divisibility(
@@ -381,30 +362,16 @@ def hermitian_pair_divisibility(
     qn = q ** (n - 1)
     total_points = gaussian_binomial(n + 1, 1, field.size)
     all_mask = (1 << total_points) - 1
-    rng = random.Random(seed)
-    degenerate = 0
-    pairs = []
-    for _ in range(samples):
-        f1, s1, rej1 = _sample_form(n, field, rng)
-        f2, s2, rej2 = _sample_form(n, field, rng)
-        degenerate += rej1 + rej2
-        pairs.append((f1, s1, f2, s2))
+    redraws = Counter()
 
-    def measure(item):
-        f1, s1, f2, s2 = item
-        H1 = hermitian_variety(f1)
-        H2 = hermitian_variety(f2)
-        size = intersect_size(H1, H2)
+    def judge(H1, H2, size):
         # |comp(H1) and comp(H2)| from the masks; inclusion-exclusion is the second route
         comp = (all_mask & ~(H1.mask | H2.mask)).bit_count()
         identity_ok = comp == total_points - len(H1) - len(H2) + size
-        return CensusRecord(
-            left=_form_desc(f1, seed=s1),
-            right=_form_desc(f2, seed=s2),
-            size=size,
-            congruences=((qn, comp % qn),),
-            ok=comp % qn == 0 and identity_ok,
-            extra={
+        return (
+            ((qn, comp % qn),),
+            comp % qn == 0 and identity_ok,
+            {
                 "complement_size": comp,
                 "val_size": val_p(size, p) if size else None,
                 "val_size_minus_1": val_p(size - 1, p) if size != 1 else None,
@@ -424,11 +391,12 @@ def hermitian_pair_divisibility(
                 "the complement reading is the supported statement"
             ),
             "size_histogram": _hist(r.size for r in records),
-            "degenerate_redraws": degenerate,
+            "degenerate_redraws": redraws["degenerate"],
         }
 
     config = dict(n=n, q=q, samples=samples, seed=seed)
-    return _run("hermitian_pair_divisibility", config, pairs, measure, summarise)
+    pairs = itertools.islice(_form_pairs(n, field, seed, redraws), samples)
+    return _run("hermitian_pair_divisibility", config, pairs, judge, summarise)
 
 
 def nonhermitian_pair_scan(
@@ -458,29 +426,20 @@ def nonhermitian_pair_scan(
     params = [pr for pr in all_valid_bm_params(field) if pr.a]
     sets = {pr: bm_unital(pr) for pr in params}
     rng = random.Random(seed)
-    pairs = []
-    for _ in range(samples):
-        p1 = params[rng.randrange(len(params))]
-        p2 = params[rng.randrange(len(params))]
-        while p2 == p1:
-            p2 = params[rng.randrange(len(params))]
-        g = _random_collineation(field, 2, rng) if general_position else None
-        pairs.append((p1, p2, g))
 
-    def measure(item):
-        p1, p2, g = item
-        right = sets[p2] if g is None else _image_enc(g, sets[p2])
-        size = intersect_size(sets[p1], right)
-        desc = _bm_desc(p2)
-        if g is not None:
-            desc = dict(desc, collineation=[list(row) for row in g])
-        return CensusRecord(
-            left=_bm_desc(p1),
-            right=desc,
-            size=size,
-            congruences=((p, size % p), (mod2, size % mod2), (q, size % q)),
-            ok=True,
-        )
+    def draw_pairs():
+        for _ in range(samples):
+            p1 = params[rng.randrange(len(params))]
+            p2 = params[rng.randrange(len(params))]
+            while p2 == p1:
+                p2 = params[rng.randrange(len(params))]
+            right = (_bm_desc(p2), sets[p2])
+            if general_position:
+                right = _collineated(*right, rng)
+            yield (_bm_desc(p1), sets[p1], *right)
+
+    def judge(U1, U2, size):
+        return ((p, size % p), (mod2, size % mod2), (q, size % q)), True, {}
 
     def summarise(records):
         mod_p = _hist(r.size % p for r in records)
@@ -496,4 +455,4 @@ def nonhermitian_pair_scan(
         }
 
     config = dict(q=q, samples=samples, seed=seed, general_position=general_position)
-    return _run("nonhermitian_pair_scan", config, pairs, measure, summarise)
+    return _run("nonhermitian_pair_scan", config, draw_pairs(), judge, summarise)

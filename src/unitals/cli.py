@@ -227,6 +227,8 @@ def cmd_verify_unital(args) -> int:
 def cmd_invariants(args) -> int:
     field = _resolve_field(args)
     n, r = args.n, args.r
+    if n < 2:
+        raise ValueError(f"invariants needs --n >= 2, not {n}")
     if not 1 < r <= n:
         raise ValueError(f"--r must lie in [2, {n}]")
     p, t = field.p, field.t

@@ -257,7 +257,7 @@ class PointSet:
         return len(self.members)
 
     def __contains__(self, idx: int) -> bool:
-        return bool(self.mask & (1 << idx))
+        return idx >= 0 and bool(self.mask >> idx & 1)
 
     @cached_property
     def mask(self) -> int:
@@ -319,7 +319,11 @@ def all_points_set(n: int, field: Field) -> PointSet:
 
 
 def apply_collineation(M, S: PointSet) -> PointSet:
-    """Image of S under the projectivity x -> Mx; M must be nonsingular."""
+    """Image of S under the projectivity x -> Mx; M must be a nonsingular (n+1) x (n+1) matrix over S.field."""
+    n1, field = S.n + 1, S.field
+    over_field = all(len(row) == n1 and all(getattr(x, "field", None) is field for x in row) for row in M)
+    if len(M) != n1 or not over_field:
+        raise ValueError(f"a collineation of PG({S.n}, {field.size}) is a {n1} x {n1} matrix over GF({field.size})")
     if not mat_det(M):
         raise ValueError("collineation matrix is singular")
     return _image_enc(tuple(tuple(x.enc for x in row) for row in M), S)

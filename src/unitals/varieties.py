@@ -13,7 +13,7 @@ The Buekenhout-Metz family is built in the affine chart
     U_{a,b} = {(1, y, a*y^2 + b*y^(q+1) + r) : y in GF(q^2), r in GF(q)}
               u {(0, 0, 1)},        q > 2,
 which is Hermitian exactly when a = 0 (with b outside GF(q)).  Validity of
-(a, b) for a != 0 is the usual discriminant/trace criterion; see bm_is_valid.
+(a, b) is one discriminant/trace criterion on a and b^q - b; see bm_is_valid.
 
 A unital is any set of q^3+1 points meeting every line in 1 or q+1 points;
 its secant-line sections are the blocks of a 2-(q^3+1, q+1, 1) design.
@@ -155,6 +155,7 @@ def _unitary_frame(form: HermitianForm) -> tuple[tuple[int, ...], ...]:
 
 
 def _random_form_candidates(n: int, field: Field, rng: random.Random):
+    """Endless seeded conjugate-symmetric matrices, as rows of encodings."""
     sub = field.subfield_encs
     while True:
         m = [[0] * (n + 1) for _ in range(n + 1)]
@@ -163,14 +164,14 @@ def _random_form_candidates(n: int, field: Field, rng: random.Random):
             for j in range(i + 1, n + 1):
                 m[i][j] = x = rng.randrange(field.size)
                 m[j][i] = field._conj[x]
-        yield HermitianForm._of(field, m)
+        yield m
 
 
 def _draw_form(n: int, field: Field, seed: int) -> tuple[HermitianForm, int]:
     """Seeded rejection sampling: the first nonsingular candidate and how many singular ones preceded it."""
-    for rejected, form in enumerate(_random_form_candidates(n, field, random.Random(seed))):
-        if form.is_nonsingular:
-            return form, rejected
+    for rejected, m in enumerate(_random_form_candidates(n, field, random.Random(seed))):
+        if det_enc(field, m):
+            return HermitianForm._of(field, m), rejected
 
 
 def random_hermitian_form(n: int, field: Field, seed: int) -> HermitianForm:
@@ -201,31 +202,31 @@ class BMParams:
 def bm_is_valid(params: BMParams) -> bool:
     """Whether U_{a,b} is a unital.
 
-    For a = 0 this is the Hermitian case, valid iff b lies outside GF(q).
-    For a != 0 and q odd: (b^q - b)^2 + 4a^(q+1) must be a nonsquare of GF(q).
-    For a != 0 and q even: b must lie outside GF(q) (equivalently b^q + b != 0)
-    and a^(q+1)/(b^q + b)^2 must have absolute trace 0.  Both branches agree
-    with the exhaustive brute-force line test at q = 3 and q = 4.
+    With d = b^q - b: for q odd, d^2 + 4a^(q+1) must be a nonsquare of GF(q);
+    for q even, d must be nonzero (b outside GF(q)) and a^(q+1)/d^2 must have
+    absolute trace 0.  For a = 0 both say b lies outside GF(q), the Hermitian
+    case: a nonzero d has d^q = -d, so d^2 is a nonsquare for q odd.  Both
+    branches agree with the exhaustive brute-force line test at q = 3 and q = 4.
     """
-    a, b = params.a, params.b
-    field = params.field
-    q, t = field.q, field.t
-    if not a:
-        return not b.in_subfield
+    return _bm_valid_enc(params.field, params.a.enc, params.b.enc)
+
+
+def _bm_valid_enc(field: Field, a: int, b: int) -> bool:
+    """bm_is_valid on the encodings of a and b."""
+    mul, conj = field.mul_enc, field._conj
+    d = field.add_enc(conj[b], field.neg_enc(b))
+    norm = field.pow_enc(a, field.q + 1)
     if field.p != 2:
-        d = frobenius(b, t) - b
-        four = field.from_coeffs([4 % field.p])
-        w = d * d + four * a ** (q + 1)
-        if not w.in_subfield:
+        w = field.add_enc(mul(d, d), mul(4 % field.p, norm))  # an encoding below p is that GF(p) scalar
+        if conj[w] != w:
             raise AssertionError("discriminant escaped GF(q)")
-        return not is_square(w)
-    if b.in_subfield:
+        return not is_square(field.elem(w))
+    if not d:
         return False
-    d = frobenius(b, t) + b
-    w = a ** (q + 1) / (d * d)
-    if not w.in_subfield:
+    w = mul(norm, field.inv_enc(mul(d, d)))
+    if conj[w] != w:
         raise AssertionError("trace argument escaped GF(q)")
-    return abs_trace(w) == 0
+    return abs_trace(field.elem(w)) == 0
 
 
 def _bm_point_ids(field: Field, a: FieldElem, b: FieldElem) -> tuple[int, ...]:
@@ -258,13 +259,8 @@ def bm_unital(params: BMParams) -> PointSet:
 
 def all_valid_bm_params(field: Field) -> tuple[BMParams, ...]:
     """Every valid (a, b), full sweep of GF(q^2)^2, a = 0 cases included."""
-    out = []
-    for a in field.elements:
-        for b in field.elements:
-            params = BMParams(a, b)
-            if bm_is_valid(params):
-                out.append(params)
-    return tuple(out)
+    el, size = field.elements, range(field.size)
+    return tuple(BMParams(el[a], el[b]) for a in size for b in size if _bm_valid_enc(field, a, b))
 
 
 def bm_affine_value(params: BMParams, y: FieldElem, z: FieldElem) -> FieldElem:

@@ -292,6 +292,9 @@ def test_invariants_with_snf(capsys):
     assert constant["alpha"] == 0 and constant["s"] is None
     code, _, err = run(capsys, "invariants", "--q", "2", "--r", "3")
     assert code == 2
+    # on a line there is no r in [2, n]; say so instead of naming the empty range [2, 1]
+    code, out, err = run(capsys, "invariants", "--q", "2", "--n", "1", "--r", "2")
+    assert (code, out, err) == (2, "", "error: invariants needs --n >= 2, not 1\n")
 
 
 def test_census_cli_json_and_csv(tmp_path, capsys):

@@ -42,6 +42,14 @@ def test_det_multiplicative():
         assert mat_det(mat_mul(a, b)) == mat_det(a) * mat_det(b)
 
 
+@pytest.mark.parametrize("shape", ["2 x 3", "mixed fields"])
+def test_det_refuses_non_square_and_mixed_field_matrices(shape):
+    f, g = make_field(2, 1), make_field(3, 1)
+    m = [[f.one, f.zero, f.zero], [f.zero, f.one, f.zero]] if shape == "2 x 3" else [[f.one, g.one], [f.zero, f.one]]
+    with pytest.raises(ValueError, match="^determinant of a non-square or mixed-field matrix$"):
+        mat_det(m)
+
+
 # GF(37^2) has no addition table, so it takes the digit-wise addition route
 @settings(max_examples=60, deadline=None)
 @given(pt=st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (37, 1)]), data=st.data())

@@ -168,6 +168,7 @@ def test_pointset_basics():
     s = PointSet.of(2, f, [5, 1, 3, 3])
     assert s.members == (1, 3, 5)
     assert 3 in s and 2 not in s
+    assert -1 not in s and 21 not in s  # indices outside [0, 21) name no point of PG(2, 4)
     comp = s.complement()
     assert len(comp) == 21 - 3
     assert not set(s.members) & set(comp.members)
@@ -214,6 +215,25 @@ def test_apply_collineation():
     img = apply_collineation(shift, line)
     members = {frozenset(ids) for ids in subspace_member_indices(2, 2, f)}
     assert frozenset(img.members) in members
+
+
+MALFORMED_COLLINEATIONS = {  # rows of (field q, encoding) entries, applied to a set of PG(2, 4)
+    "2 x 3": [[(2, 1), (2, 0), (2, 0)], [(2, 0), (2, 1), (2, 0)]],
+    "2 x 2": [[(2, 1), (2, 0)], [(2, 0), (2, 1)]],
+    "4 x 3": [[(2, 1), (2, 0), (2, 0)], [(2, 0), (2, 1), (2, 0)], [(2, 0), (2, 0), (2, 1)], [(2, 1)] * 3],
+    "over GF(9)": [[(3, 1), (3, 2), (3, 0)], [(3, 0), (3, 1), (3, 0)], [(3, 0), (3, 0), (3, 1)]],
+    "one GF(9) entry": [[(2, 1), (2, 0), (2, 0)], [(2, 0), (3, 5), (2, 0)], [(2, 0), (2, 0), (2, 1)]],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_COLLINEATIONS))
+def test_apply_collineation_refuses_malformed_matrices(case):
+    """Only an (n+1) x (n+1) matrix over the set's own field is a collineation of its space."""
+    f = field_for_q(2)
+    M = [[field_for_q(q).elem(e) for q, e in row] for row in MALFORMED_COLLINEATIONS[case]]
+    S = PointSet.of(2, f, range(5))
+    with pytest.raises(ValueError, match=r"^a collineation of PG\(2, 4\) is a 3 x 3 matrix over GF\(4\)$"):
+        apply_collineation(M, S)
 
 
 def _point_sets(f, npts):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unitals.finite_field import field_for_q, frobenius, make_field
+from unitals.linalg import det_enc
 from unitals.proj_geom import PointSet, all_points_set, enum_points, subspace_member_indices
 from unitals.varieties import (
     BMParams,
@@ -154,8 +155,8 @@ def test_random_hermitian_form_deterministic():
     for seed in range(20):
         form, rejected = _draw_form(2, f, seed)
         cands = list(itertools.islice(_random_form_candidates(2, f, random.Random(seed)), rejected + 1))
-        assert all(not cand.is_nonsingular for cand in cands[:-1])
-        assert cands[-1] == form == random_hermitian_form(2, f, seed)
+        assert all(not det_enc(f, cand) for cand in cands[:-1])
+        assert HermitianForm._of(f, cands[-1]) == form == random_hermitian_form(2, f, seed)
         total += rejected
     assert total > 0  # some seed did draw a singular candidate first
 
@@ -242,6 +243,22 @@ def test_bm_unitals_pass_the_axioms(q):
         U = bm_unital(pr)
         assert len(U) == q**3 + 1
         assert is_unital_embedded(U)
+
+
+@pytest.mark.parametrize("q,distinct", [(3, 6), (4, 18), (5, 40)])
+def test_bm_unital_depends_on_a_and_b_minus_its_conjugate(q, distinct):
+    """U_{a,b+c} = U_{a,b} for c in GF(q): c*y^(q+1) lies in GF(q) and is absorbed by r.
+
+    The params with the same (a, b^q - b) are exactly the q translates (a, b + c),
+    so a group of q valid params per key shows that bm_is_valid is constant on
+    every group; the groups with no valid param are constant (invalid) anyway.
+    """
+    f = field_for_q(q)
+    groups = {}
+    for pr in all_valid_bm_params(f):
+        groups.setdefault((pr.a, frobenius(pr.b, f.t) - pr.b), []).append(bm_unital(pr).members)
+    assert all(len(group) == q and len(set(group)) == 1 for group in groups.values())
+    assert len({group[0] for group in groups.values()}) == distinct
 
 
 def test_bm_unital_rejects_invalid_and_small_q():
