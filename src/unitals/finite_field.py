@@ -14,6 +14,7 @@ built eagerly at construction; addition is carry-free base-p digit addition
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 
 MAX_FIELD_SIZE = 1 << 16
@@ -244,13 +245,15 @@ class Field:
         assert acc == 1, "generator order mismatch"
         self._exp = exp
         self._log = log
-        if self.p > 2 and self.size <= _ADD_TABLE_LIMIT:
-            self._add_table = [
-                [self._add_digits(a, b) for b in range(self.size)]
-                for a in range(self.size)
-            ]
+        # add_enc(a, b), chosen once per field: XOR, an add-table lookup, or digit addition
+        self._add_table = None
+        if self.p == 2:
+            self.add_enc = operator.xor
+        elif self.size <= _ADD_TABLE_LIMIT:
+            table = self._add_table = [[self._add_digits(a, b) for b in range(self.size)] for a in range(self.size)]
+            self.add_enc = lambda a, b: table[a][b]
         else:
-            self._add_table = None
+            self.add_enc = self._add_digits
         self._neg_table = [self._neg_digits(a) for a in range(self.size)]
 
     def _add_digits(self, a: int, b: int) -> int:
@@ -275,13 +278,6 @@ class Field:
         return out
 
     # -- integer-encoding kernel --------------------------------------------
-
-    def add_enc(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_digits(a, b)
 
     def neg_enc(self, a: int) -> int:
         return self._neg_table[a]

@@ -13,8 +13,8 @@ from .finite_field import Field, FieldElem
 
 def mat_det(M) -> FieldElem:
     """The determinant of a square FieldElem matrix; ValueError unless M is square over one field."""
-    field = M[0][0].field
-    if any(len(row) != len(M) or any(x.field is not field for x in row) for row in M):
+    field = M[0][0].field if M and M[0] else None
+    if not field or any(len(row) != len(M) or any(x.field is not field for x in row) for row in M):
         raise ValueError("determinant of a non-square or mixed-field matrix")
     return field.elem(det_enc(field, [[x.enc for x in row] for row in M]))
 

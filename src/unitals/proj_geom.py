@@ -19,6 +19,12 @@ its coordinates after p_k, and the coordinates of the whole span are built
 column by column from rotated exp-table rows (the multiples c*x) and one
 add-table row per entry (XOR when p = 2).  Incidence rows are bit-packed
 into Python integers; popcounts of mask ANDs are the fast intersection path.
+
+A collineation x -> Mx maps a set through column tables: for each column j,
+the vectors c*M[:, j] for every c in `Field.multiples_enc` order (0, g^0, ...),
+built from rotated exp-table rows.  A point is kept as the positions of its
+coordinates in that order; its image is the sum of one table entry per nonzero
+coordinate, and its index is read off after scaling by 1 / leading coordinate.
 """
 
 from __future__ import annotations
@@ -81,6 +87,12 @@ class _Space:
     def elem_points(self) -> tuple[tuple[FieldElem, ...], ...]:
         elems = self.field.elements
         return tuple(tuple(elems[e] for e in pt) for pt in self.points)
+
+    @cached_property
+    def positions(self) -> tuple[tuple[int, ...], ...]:
+        """Each point's coordinates as positions in `Field.multiples_enc` order: 0 for 0, else 1 + log."""
+        pos = [0, *(1 + lg for lg in self.field._log[1:])].__getitem__
+        return tuple(tuple(map(pos, pt)) for pt in self.points)
 
     def index_of(self, encs) -> int:
         """Canonical index of the point with these (any-scale) coordinate encodings."""
@@ -330,9 +342,25 @@ def apply_collineation(M, S: PointSet) -> PointSet:
 
 
 def _image_enc(M, S: PointSet) -> PointSet:
-    """Image of S under x -> Mx for a nonsingular M given as rows of encodings."""
-    sp = _space(S.n, S.field)
-    pts, index_of, mat_vec = sp.points, sp.index_of, S.field.mat_vec_enc
-    out = PointSet.of(S.n, S.field, [index_of(mat_vec(M, pts[i])) for i in S.members])
+    """Image of S under x -> Mx for a nonsingular M given as rows of encodings, by column tables."""
+    f, sp = S.field, _space(S.n, S.field)
+    Q, nm1, log, exp, add = f.size, f.size - 1, f._log, f._exp, f.add_enc
+    # cols[j][k]: the column c*M[:, j] as a tuple over the rows, for the c at position k
+    cols = [tuple(zip(*[f.multiples_enc(row[j]) for row in M])) for j in range(S.n + 1)]
+    pos, offsets, ids = sp.positions, sp._offsets, []
+    for i in S.members:
+        v = None
+        for col, c in zip(cols, pos[i]):
+            if c:
+                v = col[c] if v is None else map(add, v, col[c])
+        v = tuple(v)
+        j = 0
+        while not v[j]:
+            j += 1
+        inv, tail = nm1 - log[v[j]], 0  # the log of 1 / v[j], in (0, nm1]
+        for x in v[j + 1 :]:
+            tail = tail * Q + (x and exp[(log[x] + inv) % nm1])
+        ids.append(offsets[j] + tail)
+    out = PointSet.of(S.n, f, ids)
     assert len(out) == len(S)
     return out

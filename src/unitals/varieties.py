@@ -42,12 +42,12 @@ class HermitianForm:
     matrix: tuple[tuple[FieldElem, ...], ...]
 
     def __post_init__(self):
-        m, field = self._enc_matrix, self.field
-        if any(len(row) != len(m) for row in m):
-            raise ValueError("matrix must be square")
-        if any(x.field is not field for row in self.matrix for x in row):
+        m = self._enc_matrix
+        if not m or any(len(row) != len(m) for row in m):
+            raise ValueError("matrix must be square, with at least one row")
+        if any(x.field is not self.field for row in self.matrix for x in row):
             raise ValueError("mixed-field matrix")
-        conj = field._conj
+        conj = self.field._conj
         if any(m[j][i] != conj[x] for i, row in enumerate(m) for j, x in enumerate(row)):
             raise ValueError("matrix is not conjugate-symmetric")
 
@@ -90,7 +90,7 @@ def hermitian_variety(form: HermitianForm) -> PointSet:
     M of the form: M^dagger C M = I, certified by `_unitary_frame`.  This is
     exact: for x = My, x^dagger C x = y^dagger M^dagger C M y = y^dagger y,
     and M is nonsingular, so x lies on H(C) exactly when y lies on H(I).
-    The work is one mat-vec per point of the variety, O(q^(2n-1)), not one
+    The work is one column-table sum per point of the variety, O(q^(2n-1)), not one
     evaluation per point of PG(n, q^2).
     """
     if not form.is_nonsingular:
@@ -230,16 +230,14 @@ def _bm_valid_enc(field: Field, a: int, b: int) -> bool:
 
 
 def _bm_point_ids(field: Field, a: FieldElem, b: FieldElem) -> tuple[int, ...]:
-    """Indices of U_{a,b} without any validity check (q^3+1 points always)."""
-    index_of = _space(2, field).index_of
-    q = field.q
+    """Indices of U_{a,b}, no validity check: (0, 0, 1) is point 0, (1, y, z) is Q + 1 + y*Q + z."""
+    Q, q = field.size, field.q
     a, b = a.enc, b.enc
     add, mul = field.add_enc, field.mul_enc
-    ids = [index_of((0, 0, 1))]
-    for y in range(field.size):
+    ids = [0]
+    for y in range(Q):
         base = add(mul(a, mul(y, y)), mul(b, field.pow_enc(y, q + 1)))
-        for r in field.subfield_encs:
-            ids.append(index_of((1, y, add(base, r))))
+        ids += map((Q + 1 + y * Q).__add__, field.add_row_enc(base, field.subfield_encs))
     assert len(set(ids)) == q**3 + 1, "affine points collided"
     return tuple(sorted(ids))
 
@@ -447,6 +445,9 @@ def fit_hermitian_form(S: PointSet) -> HermitianForm | None:
             null = [[sum(map(operator.mul, w, col)) % p for col in cols] for w in keep]
             mats = [matrix(v) for v in null]
     null = nullspace_mod_p(nullspace_mod_p(null, p), p)
+    # beyond one form's GF(q)-multiples: a nonsingular Hermitian curve meets each line in 1 or q + 1 points
+    if len(null) > field.t and S.n == 2 and max(_sections(S, 2)) > field.q + 1:
+        return None
 
     if p ** len(null) > _FIT_ENUM_LIMIT:
         raise ValueError(f"nullspace too large to scan ({len(null)} dims)")

@@ -10,7 +10,7 @@ import itertools
 from unitals.finite_field import _is_irreducible, frobenius
 from unitals.galois_ring import GaloisRing, GaloisRingElem
 from unitals.linalg import nullspace_mod_p
-from unitals.proj_geom import PointSet, enum_points
+from unitals.proj_geom import PointSet, _space, enum_points
 from unitals.varieties import _FIT_ENUM_LIMIT, HermitianForm, _subfield_gfp_basis
 
 _TEICH_ENUM_LIMIT = 1 << 16
@@ -32,6 +32,15 @@ def mat_mul(A, B):
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
+
+
+def image_by_mat_vec(M, S: PointSet) -> PointSet:
+    """Image of S under x -> Mx (rows of encodings): one mat-vec and one normalising index_of per point."""
+    sp = _space(S.n, S.field)
+    pts, index_of, mat_vec = sp.points, sp.index_of, S.field.mat_vec_enc
+    out = PointSet.of(S.n, S.field, [index_of(mat_vec(M, pts[i])) for i in S.members])
+    assert len(out) == len(S)
+    return out
 
 
 def hermitian_variety_by_evaluation(form) -> PointSet:

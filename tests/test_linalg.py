@@ -42,10 +42,15 @@ def test_det_multiplicative():
         assert mat_det(mat_mul(a, b)) == mat_det(a) * mat_det(b)
 
 
-@pytest.mark.parametrize("shape", ["2 x 3", "mixed fields"])
+@pytest.mark.parametrize("shape", ["2 x 3", "mixed fields", "no rows", "one empty row"])
 def test_det_refuses_non_square_and_mixed_field_matrices(shape):
     f, g = make_field(2, 1), make_field(3, 1)
-    m = [[f.one, f.zero, f.zero], [f.zero, f.one, f.zero]] if shape == "2 x 3" else [[f.one, g.one], [f.zero, f.one]]
+    m = {
+        "2 x 3": [[f.one, f.zero, f.zero], [f.zero, f.one, f.zero]],
+        "mixed fields": [[f.one, g.one], [f.zero, f.one]],
+        "no rows": [],
+        "one empty row": [[]],
+    }[shape]
     with pytest.raises(ValueError, match="^determinant of a non-square or mixed-field matrix$"):
         mat_det(m)
 

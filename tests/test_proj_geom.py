@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from unitals.census import intersect_size
 from unitals.finite_field import field_for_q, make_field
-from unitals.linalg import mat_det
+from unitals.linalg import det_enc, mat_det
 from unitals.proj_geom import (
     PointSet,
+    _image_enc,
     _space,
     all_points_set,
     apply_collineation,
@@ -20,7 +21,7 @@ from unitals.proj_geom import (
     subspace_member_indices,
 )
 
-from reference_oracles import irreducible_moduli
+from reference_oracles import image_by_mat_vec, irreducible_moduli, mat_mul
 
 
 def test_gaussian_binomial():
@@ -234,6 +235,37 @@ def test_apply_collineation_refuses_malformed_matrices(case):
     S = PointSet.of(2, f, range(5))
     with pytest.raises(ValueError, match=r"^a collineation of PG\(2, 4\) is a 3 x 3 matrix over GF\(4\)$"):
         apply_collineation(M, S)
+
+
+# (1, 37): GF(37^2) has 1,369 elements, beyond the add table, so sums take the digit route
+@settings(max_examples=150, deadline=None)
+@given(case=st.sampled_from([(1, 37), (2, 2), (2, 3), (2, 4), (2, 5), (2, 8), (2, 9), (3, 2), (3, 3)]), data=st.data())
+def test_image_by_column_tables_matches_mat_vec_reference(case, data):
+    """_image_enc equals one mat-vec and one normalising index_of per point, on random sets and matrices."""
+    n, q = case
+    f = field_for_q(q)
+    sp = _space(n, f)
+    row = st.tuples(*[st.integers(0, f.size - 1)] * (n + 1))
+    M = data.draw(st.tuples(*[row] * (n + 1)))
+    if not det_enc(f, M):  # a singular draw becomes the coordinate shift x_j -> x_(j+1)
+        M = tuple(tuple(int(j == (i + 1) % (n + 1)) for j in range(n + 1)) for i in range(n + 1))
+    members = data.draw(st.sets(st.integers(0, sp.count - 1), max_size=60))
+    # points before _offsets[0] have a zero first coordinate, so their leading coordinate comes later
+    members |= data.draw(st.sets(st.integers(0, sp._offsets[0] - 1), min_size=1, max_size=10))
+    S = PointSet.of(n, f, members)
+    assert _image_enc(M, S) == image_by_mat_vec(M, S)
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([3, 4]), data=st.data())
+def test_apply_collineation_composes(q, data):
+    """apply_collineation(AB, S) = apply_collineation(A, apply_collineation(B, S))."""
+    f = field_for_q(q)
+    entry = st.sampled_from(f.elements)
+    nonsingular = st.tuples(*[st.tuples(entry, entry, entry)] * 3).filter(lambda m: bool(mat_det(m)))
+    A, B = data.draw(nonsingular), data.draw(nonsingular)
+    S = data.draw(_point_sets(f, len(enum_points(2, f))))
+    assert apply_collineation(mat_mul(A, B), S) == apply_collineation(A, apply_collineation(B, S))
 
 
 def _point_sets(f, npts):

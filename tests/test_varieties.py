@@ -48,6 +48,8 @@ def test_hermitian_form_validation():
     assert form.n == 1 and form.field is f
     with pytest.raises(ValueError, match="square"):
         HermitianForm(((f.one, f.zero), (f.zero,)))
+    with pytest.raises(ValueError, match="^matrix must be square, with at least one row$"):
+        HermitianForm(())
     # an entry from another field, on the diagonal (where conj(x) == x) and off it
     h = make_field(3, 1)
     with pytest.raises(ValueError, match="mixed-field"):
@@ -322,6 +324,12 @@ def test_fit_hermitian_form_exactly_when_a_is_zero():
 def test_fit_hermitian_form_none_on_generic_sets():
     f = field_for_q(2)
     assert fit_hermitian_form(all_points_set(2, f)) is None
+
+
+def test_fit_hermitian_form_none_on_a_line_of_pg2_81():
+    """A line meets a nonsingular Hermitian curve in 1 or q + 1 points, so no form fits its q^2 + 1 points."""
+    f = field_for_q(9)
+    assert fit_hermitian_form(PointSet(2, f, subspace_member_indices(2, 2, f)[5])) is None
 
 
 def test_fit_hermitian_form_refuses_the_empty_set():
