@@ -13,9 +13,9 @@ parameters, its pairs (left descriptor, left set, right descriptor, right
 set), drawn in a fixed order and, for the sampled kinds, lazily, a `judge`
 that reads the congruences, the verdict and any extras off one pair and its
 intersection size, and a `summarise` function over all records.  `_run` is
-the only place where a pair is intersected and a record built.  Reports hold
-no wall times, so identical configs give byte-identical files; timing is the
-caller's business.
+the only place where a pair is intersected and a record built; a judge reads
+any further count off the two masks.  Reports hold no wall times, so
+identical configs give byte-identical files; timing is the caller's business.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .varieties import (
 
 DEFAULT_SEED = 1729
 DEFAULT_SAMPLES = 200
+HERMITIAN_SAMPLES = 20  # seeded images of H(I) in each sweep, beside H(I) itself
 
 
 def intersect_size(A: PointSet, B: PointSet) -> int:
@@ -143,10 +144,7 @@ def _run(kind: str, config: dict, pairs, judge, summarise) -> CensusReport:
 
 
 def _hist(values) -> dict[str, int]:
-    out: dict[int, int] = {}
-    for v in values:
-        out[v] = out.get(v, 0) + 1
-    return {str(k): v for k, v in sorted(out.items())}
+    return {str(k): v for k, v in sorted(Counter(values).items())}
 
 
 def _bm_desc(params: BMParams) -> dict:
@@ -194,11 +192,12 @@ def collineated_hermitian_unitals(
     return [_collineated({"kind": "hermitian_collineated"}, base, rng) for _ in range(count)]
 
 
-def _sweep(field: Field, seed: int, hermitian_samples: int, unitals: list):
-    """Pairs of every unital with the canonical Hermitian unital and each of its seeded images."""
+def _sweep(field: Field, seed: int):
+    """Every valid B-M unital, and its pairs with H(I) and each of H(I)'s seeded images."""
+    unitals = [(_bm_desc(pr), bm_unital(pr)) for pr in all_valid_bm_params(field)]
     hermitians = [({"kind": "hermitian_canonical"}, canonical_hermitian_unital(field))]
-    hermitians += collineated_hermitian_unitals(field, hermitian_samples, seed)
-    return ((ud, U, hd, H) for ud, U in unitals for hd, H in hermitians)
+    hermitians += collineated_hermitian_unitals(field, HERMITIAN_SAMPLES, seed)
+    return unitals, ((ud, U, hd, H) for ud, U in unitals for hd, H in hermitians)
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +244,11 @@ def kestenband_census(
     return _run("kestenband", config, pairs, judge, summarise)
 
 
-def bm_vs_hermitian_census(
-    q: int,
-    seed: int = DEFAULT_SEED,
-    hermitian_samples: int = 20,
-) -> CensusReport:
+def bm_vs_hermitian_census(q: int, seed: int = DEFAULT_SEED) -> CensusReport:
     """|H and U_{a,b}| = 1 mod q for every valid (a,b) and every sampled H.
 
     Sweeps all valid Buekenhout-Metz parameters (the a = 0 Hermitian cases
-    included) against the canonical Hermitian unital and `hermitian_samples`
+    included) against the canonical Hermitian unital and HERMITIAN_SAMPLES
     collineated copies of it.
     """
     if q not in (3, 4, 5):
@@ -261,7 +256,7 @@ def bm_vs_hermitian_census(
     field = field_for_q(q)
     p, t = field.p, field.t
     mod2 = p ** -(-t // 2)  # p^ceil(t/2), the weaker corollary modulus
-    unitals = [(_bm_desc(pr), bm_unital(pr)) for pr in all_valid_bm_params(field)]
+    unitals, pairs = _sweep(field, seed)
 
     def judge(U, H, size):
         return ((q, size % q), (mod2, (size - 1) % mod2)), size % q == 1, {}
@@ -269,55 +264,43 @@ def bm_vs_hermitian_census(
     def summarise(records):
         return {
             "valid_params": len(unitals),
-            "hermitian_sets": hermitian_samples + 1,
+            "hermitian_sets": HERMITIAN_SAMPLES + 1,
             "pairs": len(records),
             "residues_mod_q": _hist(r.size % q for r in records),
         }
 
-    config = dict(q=q, seed=seed, hermitian_samples=hermitian_samples)
-    return _run("bm_vs_hermitian", config, _sweep(field, seed, hermitian_samples, unitals), judge, summarise)
+    config = dict(q=q, seed=seed, hermitian_samples=HERMITIAN_SAMPLES)
+    return _run("bm_vs_hermitian", config, pairs, judge, summarise)
 
 
-def general_unital_congruence(
-    q: int,
-    seed: int = DEFAULT_SEED,
-    unitals: list[tuple[dict, PointSet]] | None = None,
-    hermitian_samples: int = 20,
-) -> CensusReport:
+def general_unital_congruence(q: int, seed: int = DEFAULT_SEED) -> CensusReport:
     """The two congruence bounds for verified unitals against Hermitian ones.
 
-    For each unital U (by default the full valid Buekenhout-Metz sweep) and
-    each Hermitian unital H: v_p(|H and U| - 1) >= ceil(t/2), and p^theta
-    divides |complement(U) and H| with theta = theta_bound(2, 2, t).  Every U
-    from the source must pass is_unital_embedded.  A failing caller-supplied
-    set raises ValueError with the line-profile diagnostic; a failing set of
-    the default sweep is a library fault and raises AssertionError.
+    For each valid Buekenhout-Metz unital U and each Hermitian unital H:
+    v_p(|H and U| - 1) >= ceil(t/2), and p^theta divides |complement(U) and H|
+    with theta = theta_bound(2, 2, t), read off the masks and checked against
+    |H| - |H and U|.  A U failing is_unital_embedded is a library fault:
+    AssertionError with the line-profile diagnostic.
     """
     if q not in (3, 4, 5):
         raise ValueError("general_unital_congruence supports q in {3, 4, 5}")
     field = field_for_q(q)
     p, t = field.p, field.t
     theta = theta_bound(2, 2, t)
-    need = -(-t // 2)  # ceil(t/2)
-    fault = ValueError if unitals is not None else AssertionError
-    if unitals is None:
-        unitals = [(_bm_desc(pr), bm_unital(pr)) for pr in all_valid_bm_params(field)]
+    mod_nu, mod_theta = p ** -(-t // 2), p**theta  # p^ceil(t/2) and p^theta
+    unitals, pairs = _sweep(field, seed)
     for desc, U in unitals:
         check = is_unital_embedded(U)
         if not check:
-            raise fault(f"source produced a non-unital ({desc}): profile {check.profile}")
-    # one complement per unital, shared by all its pairs
-    complements = {U: U.complement() for _, U in unitals}
+            raise AssertionError(f"source produced a non-unital ({desc}): profile {check.profile}")
 
     def judge(U, H, size):
-        comp_section = intersect_size(complements[U], H)
+        comp_section = (H.mask & ~U.mask).bit_count()
         identity_ok = comp_section == len(H) - size
         nu = val_p(size - 1, p) if size != 1 else None  # None means +infinity
-        cong_ok = (size - 1) % (p**need) == 0
-        div_ok = comp_section % (p**theta) == 0
         return (
-            ((p**need, (size - 1) % (p**need)), (p**theta, comp_section % (p**theta))),
-            bool(cong_ok and div_ok and identity_ok),
+            ((mod_nu, (size - 1) % mod_nu), (mod_theta, comp_section % mod_theta)),
+            (size - 1) % mod_nu == 0 and comp_section % mod_theta == 0 and identity_ok,
             {
                 "nu_p_size_minus_1": nu,
                 "theta": theta,
@@ -330,14 +313,13 @@ def general_unital_congruence(
         nus = (r.extra["nu_p_size_minus_1"] for r in records)
         return {
             "unitals": len(unitals),
-            "hermitian_sets": hermitian_samples + 1,
+            "hermitian_sets": HERMITIAN_SAMPLES + 1,
             "pairs": len(records),
             "theta": theta,
             "min_nu_p_size_minus_1": min((nu for nu in nus if nu is not None), default=None),
         }
 
-    config = dict(q=q, seed=seed, hermitian_samples=hermitian_samples)
-    pairs = _sweep(field, seed, hermitian_samples, unitals)
+    config = dict(q=q, seed=seed, hermitian_samples=HERMITIAN_SAMPLES)
     return _run("general_unital_congruence", config, pairs, judge, summarise)
 
 
@@ -403,20 +385,18 @@ def nonhermitian_pair_scan(
     q: int,
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
-    *,
-    general_position: bool = True,
 ) -> CensusReport:
     """Residue scan for pairs of distinct non-Hermitian B-M unitals.
 
     No congruence is asserted; this is output only.  The class of these
     unitals is closed under projectivities, so a faithful random pair puts
-    the second unital in general position via a seeded collineation (the
-    default).  With general_position=False both unitals stay in the standard
-    chart; every pair then shares the point (0,0,1) and the affine parts meet
-    in a multiple of q points (the z-cosets over GF(q) coincide or miss), so
-    those sizes are identically 1 mod q.  The summary reports the residue
-    histograms mod p, mod p^ceil(t/2) and mod q, and whether the mod-p and
-    mod-q residues came out non-constant.
+    the second unital in general position via a seeded collineation.
+    Without it both unitals would stay in the standard chart, where every
+    pair shares the point (0,0,1) and the affine parts meet in a multiple of
+    q points (the z-cosets over GF(q) coincide or miss), so those sizes are
+    trivially 1 mod q.  The summary reports the residue histograms mod p,
+    mod p^ceil(t/2) and mod q, and whether the mod-p and mod-q residues came
+    out non-constant.
     """
     if q not in (3, 4, 5):
         raise ValueError("nonhermitian_pair_scan supports q in {3, 4, 5}")
@@ -433,10 +413,7 @@ def nonhermitian_pair_scan(
             p2 = params[rng.randrange(len(params))]
             while p2 == p1:
                 p2 = params[rng.randrange(len(params))]
-            right = (_bm_desc(p2), sets[p2])
-            if general_position:
-                right = _collineated(*right, rng)
-            yield (_bm_desc(p1), sets[p1], *right)
+            yield (_bm_desc(p1), sets[p1], *_collineated(_bm_desc(p2), sets[p2], rng))
 
     def judge(U1, U2, size):
         return ((p, size % p), (mod2, size % mod2), (q, size % q)), True, {}
@@ -445,7 +422,7 @@ def nonhermitian_pair_scan(
         mod_p = _hist(r.size % p for r in records)
         mod_q = _hist(r.size % q for r in records)
         return {
-            "general_position": general_position,
+            "general_position": True,
             "residues_mod_p": mod_p,
             "residues_mod_p_ceil_half": _hist(r.size % mod2 for r in records),
             "residues_mod_q": mod_q,
@@ -454,5 +431,5 @@ def nonhermitian_pair_scan(
             "non_constant_mod_q": len(mod_q) >= 2,
         }
 
-    config = dict(q=q, samples=samples, seed=seed, general_position=general_position)
+    config = dict(q=q, samples=samples, seed=seed, general_position=True)
     return _run("nonhermitian_pair_scan", config, draw_pairs(), judge, summarise)

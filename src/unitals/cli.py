@@ -168,6 +168,8 @@ def cmd_field_info(args) -> int:
 def cmd_enum(args) -> int:
     field = _resolve_field(args)
     n = args.n
+    if args.r is not None and args.what != "subspaces":
+        raise ValueError(f"--r is for --what subspaces, not --what {args.what}")
     if args.what == "points":
         items = [list(pt) for pt in _space(n, field).points]
     elif args.what in ("lines", "subspaces"):
@@ -184,12 +186,16 @@ def cmd_enum(args) -> int:
 def cmd_make_unital(args) -> int:
     field = _resolve_field(args)
     if args.kind == "bm":
+        if args.seed is not None:
+            raise ValueError("--kind bm takes no --seed")
         if args.a is None or args.b is None:
             raise ValueError("--kind bm needs --a and --b")
         if not 0 <= args.a < field.size or not 0 <= args.b < field.size:
             raise ValueError(f"encodings must lie in [0, {field.size})")
         S = bm_unital(BMParams(field.elem(args.a), field.elem(args.b)))
     else:
+        if args.a is not None or args.b is not None:
+            raise ValueError("--kind hermitian takes no --a or --b")
         if args.seed is None:
             form = HermitianForm.identity(2, field)
         else:

@@ -63,7 +63,7 @@ def test_criterion_1_bm_congruence(acceptance):
     ok = True
     for q in (3, 4, 5):
         t0 = time.perf_counter()
-        rep = bm_vs_hermitian_census(q, seed=DEFAULT_SEED, hermitian_samples=20)
+        rep = bm_vs_hermitian_census(q, seed=DEFAULT_SEED)
         elapsed = time.perf_counter() - t0
         assert rep.summary["hermitian_sets"] == 21  # canonical + 20 seeded
         all_one = all(r.size % q == 1 for r in rep.records)
@@ -75,7 +75,7 @@ def test_criterion_1_bm_congruence(acceptance):
 
 def test_criterion_2_general_congruence_q4(acceptance):
     theta = theta_bound(2, 2, 2)
-    rep = general_unital_congruence(4, seed=DEFAULT_SEED, hermitian_samples=20)
+    rep = general_unital_congruence(4, seed=DEFAULT_SEED)
     nu_ok = all((r.size - 1) % 2 == 0 for r in rep.records)  # nu_2 >= 1
     div_ok = all(
         r.extra["complement_section"] % 2**theta == 0 for r in rep.records

@@ -352,6 +352,34 @@ def test_census_cli_sweep_kinds_reject_samples(tmp_path, capsys, kind, samples):
     assert err == f"error: --kind {kind} sweeps every valid B-M pair; it takes no --samples\n"
 
 
+@pytest.mark.parametrize("what", ["points", "lines", "monomials"])
+def test_enum_rejects_r_outside_subspaces(tmp_path, capsys, what):
+    """Only --what subspaces reads --r; the others refuse it instead of ignoring it, and write nothing."""
+    path = tmp_path / "enum.json"
+    code, out, err = run(capsys, "enum", "--q", "2", "--what", what, "--r", "1", "--out", str(path))
+    assert code == 2
+    assert out == "" and not path.exists()
+    assert err == f"error: --r is for --what subspaces, not --what {what}\n"
+
+
+# (make-unital flags, the one error line); each names a flag the kind would otherwise ignore
+MAKE_UNITAL_STRAY_FLAGS = {
+    "hermitian with --a": (["--kind", "hermitian", "--a", "4"], "--kind hermitian takes no --a or --b"),
+    "hermitian with --b": (["--kind", "hermitian", "--seed", "7", "--b", "0"], "--kind hermitian takes no --a or --b"),
+    "bm with --seed": (["--kind", "bm", "--a", "4", "--b", "0", "--seed", "7"], "--kind bm takes no --seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MAKE_UNITAL_STRAY_FLAGS))
+def test_make_unital_rejects_flags_of_the_other_kind(tmp_path, capsys, case):
+    flags, message = MAKE_UNITAL_STRAY_FLAGS[case]
+    path = tmp_path / "u.json"
+    code, out, err = run(capsys, "make-unital", "--q", "3", *flags, "--out", str(path))
+    assert code == 2
+    assert out == "" and not path.exists()
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("n", ["1", "3", "7"])
 @pytest.mark.parametrize("kind", ["kestenband", "bm-vs-hermitian", "general", "nonhermitian-scan"])
 def test_census_cli_plane_kinds_reject_n(capsys, kind, n):
