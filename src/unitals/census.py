@@ -62,6 +62,28 @@ def intersect_size(A: PointSet, B: PointSet) -> int:
     return by_set
 
 
+def _dump(v, depth: int) -> str:
+    """json.dumps(v, sort_keys=True, indent=2) as it reads when nested `depth` levels deep."""
+    return json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
+
+
+def _memo(key, render):
+    """render(x), computed once per key(x) for one serialisation.
+
+    With key=id, only for objects the report holds for the whole call, since
+    an id is reused once its object is freed.
+    """
+    texts = {}
+
+    def cached(x):
+        k = key(x)
+        if k not in texts:
+            texts[k] = render(x)
+        return texts[k]
+
+    return cached
+
+
 @dataclass
 class CensusRecord:
     left: dict
@@ -105,17 +127,38 @@ class CensusReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        """json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n", from cached fragments.
+
+        `indent` keeps json on its pure-Python encoder, and the sweeps repeat
+        one descriptor object over many records and few distinct values in
+        the other fields.  So each descriptor is rendered once per object,
+        each other field once per repr (True == 1, but their reprs differ),
+        and the layout of a record is written here.
+        """
+        desc = _memo(id, lambda v: _dump(v, 3))
+        value = _memo(repr, lambda v: _dump(v, 3))
+        rows = [
+            f'{{\n      "congruences": {value(r.congruences)},\n      "extra": {value(r.extra)},'
+            f'\n      "left": {desc(r.left)},\n      "ok": {value(r.ok)},'
+            f'\n      "right": {desc(r.right)},\n      "size": {value(r.size)}\n    }}'
+            for r in self.records
+        ]
+        records = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"
+        return (
+            f'{{\n  "config": {_dump(self.config, 1)},\n  "kind": {_dump(self.kind, 1)},'
+            f'\n  "records": {records},\n  "summary": {_dump(self.summary, 1)}\n}}\n'
+        )
 
     def to_csv(self) -> str:
+        desc = _memo(id, lambda v: json.dumps(v, sort_keys=True))
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(["left", "right", "size", "congruences", "ok"])
         for r in self.records:
             w.writerow(
                 [
-                    json.dumps(r.left, sort_keys=True),
-                    json.dumps(r.right, sort_keys=True),
+                    desc(r.left),
+                    desc(r.right),
                     r.size,
                     json.dumps([list(c) for c in r.congruences]),
                     int(r.ok),
@@ -192,9 +235,28 @@ def collineated_hermitian_unitals(
     return [_collineated({"kind": "hermitian_collineated"}, base, rng) for _ in range(count)]
 
 
+def _bm_unitals(params) -> list[tuple[BMParams, PointSet]]:
+    """(pr, U_pr) for each pr in order, with one PointSet shared by each class of (a, b^q - b).
+
+    U_{a,b} depends on b only through b^q - b (see bm_affine_value), so each
+    class is built once, from its first member, and masked and checked once.
+    """
+    built, out = {}, []
+    for pr in params:
+        f, b = pr.field, pr.b.enc
+        key = (pr.a.enc, f.add_enc(f._conj[b], f.neg_enc(b)))
+        if key not in built:
+            built[key] = bm_unital(pr)
+        out.append((pr, built[key]))
+    return out
+
+
 def _sweep(field: Field, seed: int):
-    """Every valid B-M unital, and its pairs with H(I) and each of H(I)'s seeded images."""
-    unitals = [(_bm_desc(pr), bm_unital(pr)) for pr in all_valid_bm_params(field)]
+    """Every valid B-M unital, and its pairs with H(I) and each of H(I)'s seeded images.
+
+    The unitals come one per (a, b), in order; the (a, b) of one class share one set.
+    """
+    unitals = [(_bm_desc(pr), U) for pr, U in _bm_unitals(all_valid_bm_params(field))]
     hermitians = [({"kind": "hermitian_canonical"}, canonical_hermitian_unital(field))]
     hermitians += collineated_hermitian_unitals(field, HERMITIAN_SAMPLES, seed)
     return unitals, ((ud, U, hd, H) for ud, U in unitals for hd, H in hermitians)
@@ -251,8 +313,8 @@ def bm_vs_hermitian_census(q: int, seed: int = DEFAULT_SEED) -> CensusReport:
     included) against the canonical Hermitian unital and HERMITIAN_SAMPLES
     collineated copies of it.
     """
-    if q not in (3, 4, 5):
-        raise ValueError("bm_vs_hermitian_census supports q in {3, 4, 5}")
+    if q not in (3, 4, 5, 7, 8, 9):
+        raise ValueError("bm_vs_hermitian_census supports q in {3, 4, 5, 7, 8, 9}")
     field = field_for_q(q)
     p, t = field.p, field.t
     mod2 = p ** -(-t // 2)  # p^ceil(t/2), the weaker corollary modulus
@@ -279,17 +341,21 @@ def general_unital_congruence(q: int, seed: int = DEFAULT_SEED) -> CensusReport:
     For each valid Buekenhout-Metz unital U and each Hermitian unital H:
     v_p(|H and U| - 1) >= ceil(t/2), and p^theta divides |complement(U) and H|
     with theta = theta_bound(2, 2, t), read off the masks and checked against
-    |H| - |H and U|.  A U failing is_unital_embedded is a library fault:
-    AssertionError with the line-profile diagnostic.
+    |H| - |H and U|.  Each distinct U is verified once; one failing
+    is_unital_embedded is a library fault: AssertionError naming the first
+    (a, b) of its class, with the line-profile diagnostic.
     """
-    if q not in (3, 4, 5):
-        raise ValueError("general_unital_congruence supports q in {3, 4, 5}")
+    if q not in (3, 4, 5, 7, 8, 9):
+        raise ValueError("general_unital_congruence supports q in {3, 4, 5, 7, 8, 9}")
     field = field_for_q(q)
     p, t = field.p, field.t
     theta = theta_bound(2, 2, t)
     mod_nu, mod_theta = p ** -(-t // 2), p**theta  # p^ceil(t/2) and p^theta
     unitals, pairs = _sweep(field, seed)
+    firsts = {}  # each distinct set once, named by the first (a, b) of its class
     for desc, U in unitals:
+        firsts.setdefault(id(U), (desc, U))
+    for desc, U in firsts.values():
         check = is_unital_embedded(U)
         if not check:
             raise AssertionError(f"source produced a non-unital ({desc}): profile {check.profile}")
@@ -398,13 +464,13 @@ def nonhermitian_pair_scan(
     mod p^ceil(t/2) and mod q, and whether the mod-p and mod-q residues came
     out non-constant.
     """
-    if q not in (3, 4, 5):
-        raise ValueError("nonhermitian_pair_scan supports q in {3, 4, 5}")
+    if q not in (3, 4, 5, 7, 8, 9):
+        raise ValueError("nonhermitian_pair_scan supports q in {3, 4, 5, 7, 8, 9}")
     field = field_for_q(q)
     p, t = field.p, field.t
     mod2 = p ** -(-t // 2)
     params = [pr for pr in all_valid_bm_params(field) if pr.a]
-    sets = {pr: bm_unital(pr) for pr in params}
+    sets = dict(_bm_unitals(params))
     rng = random.Random(seed)
 
     def draw_pairs():

@@ -7,9 +7,11 @@ import json
 import pytest
 
 from unitals.census import (
+    DEFAULT_SEED,
     HERMITIAN_SAMPLES,
     CensusRecord,
     CensusReport,
+    _sweep,
     bm_vs_hermitian_census,
     canonical_hermitian_unital,
     collineated_hermitian_unitals,
@@ -151,6 +153,87 @@ def test_census_report_bytes_frozen(name):
     rep = run()
     assert hashlib.sha256(rep.to_json().encode()).hexdigest() == json_sha
     assert hashlib.sha256(rep.to_csv().encode()).hexdigest() == csv_sha
+
+
+def _reference_json(rep):
+    return json.dumps(rep.to_json_dict(), sort_keys=True, indent=2) + "\n"
+
+
+def _reference_csv(rep):
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(["left", "right", "size", "congruences", "ok"])
+    for r in rep.records:
+        left, right = (json.dumps(d, sort_keys=True) for d in (r.left, r.right))
+        w.writerow([left, right, r.size, json.dumps([list(c) for c in r.congruences]), int(r.ok)])
+    return buf.getvalue()
+
+
+def _hand_built_report():
+    """Records that stress the fragment serialiser: every case json.dumps handles that a census could feed it."""
+    shared = {"kind": "bm", "a": 1, "b": 2, "note": 'quote " backslash \\ non-ASCII \u00e9 \U0001d53d'}
+    other = {"kind": "x", "matrix": [[1, 2], []], "empty": {}, "none": None}
+    records = [
+        CensusRecord(shared, shared, 7, ((3, 1), (9, 7)), True),
+        CensusRecord(shared, other, 1, ((3, True),), False, {"v": True, "w": None, "nested": [1, [2, {"z": 0, "a": [True, None]}]]}),
+        CensusRecord(other, shared, 0, (), True, {"v": 1, "w": None, "nested": {"b": [], "a": {}}, "empty": []}),
+        CensusRecord(shared, shared, 1, ((3, 1),), 1, {2: "int keys", 1: "sort before json turns them into strings"}),
+        CensusRecord(shared, {}, -1, ((True, False),), True, {"s": 'quote " \u00e9'}),
+    ]
+    return CensusReport("hand", {"q": 3, "flag": True, "none": None, "text": "\u00e9"}, records, {"ok": False, "h": {"1": 2}})
+
+
+# every census kind at small q, a zero-record report and a hand-built one
+SERIALISER_CASES = {
+    "kestenband": lambda: kestenband_census(2, samples=6, seed=1),
+    "bm_vs_hermitian": lambda: bm_vs_hermitian_census(3),
+    "general": lambda: general_unital_congruence(4),
+    "hermitian_pairs plane": lambda: hermitian_pair_divisibility(2, 3, samples=6),
+    "hermitian_pairs solid": lambda: hermitian_pair_divisibility(3, 2, samples=4),
+    "nonhermitian": lambda: nonhermitian_pair_scan(4, samples=6),
+    "no records": lambda: kestenband_census(2, samples=0),
+    "hand-built": _hand_built_report,
+}
+
+
+@pytest.mark.parametrize("case", sorted(SERIALISER_CASES))
+def test_report_serialisers_match_json_dumps(case):
+    """to_json and to_csv build their text from cached fragments; plain json.dumps per record is the reference."""
+    rep = SERIALISER_CASES[case]()
+    assert rep.to_json() == _reference_json(rep)
+    assert rep.to_csv() == _reference_csv(rep)
+
+
+def test_serialiser_tells_true_from_one_and_rerenders_each_call():
+    """True == 1 and hash alike, yet render apart; a descriptor changed between calls is rendered afresh."""
+    rep = _hand_built_report()
+    text = rep.to_json()
+    assert '"v": true' in text and '"v": 1' in text
+    assert json.loads(text)["records"][1]["congruences"] == [[3, True]]
+    rep.records[0].left["a"] = 5  # one object, the descriptor of seven sides
+    assert rep.to_json() == _reference_json(rep) != text
+    assert rep.to_csv() == _reference_csv(rep)
+
+
+@pytest.mark.parametrize("q,distinct", [(3, 6), (4, 18), (5, 40)])
+def test_sweep_shares_one_set_per_bm_class(q, distinct):
+    """One PointSet per (a, b^q - b) class, each equal to U_{a,b} built on its own, with the params in sweep order."""
+    f = field_for_q(q)
+    params = all_valid_bm_params(f)
+    unitals, _ = _sweep(f, DEFAULT_SEED)
+    assert [(d["a"], d["b"]) for d, _ in unitals] == [(pr.a.enc, pr.b.enc) for pr in params]
+    assert len({id(U) for _, U in unitals}) == distinct
+    for (_, U), pr in zip(unitals, params):
+        assert U == bm_unital(pr)
+
+
+@pytest.mark.slow
+def test_general_unital_congruence_q9():
+    """q = 9: 2,592 valid (a, b) in 288 classes against 21 Hermitian sets; the paper's modulus is p^ceil(t/2) = 3."""
+    rep = general_unital_congruence(9)
+    assert rep.ok
+    assert len(rep.records) == 54432
+    assert rep.summary["min_nu_p_size_minus_1"] == 2
 
 
 def test_bm_vs_hermitian_census_q3():

@@ -332,6 +332,34 @@ def test_census_cli_other_kinds(capsys):
     assert code == 2
 
 
+# sha256 of `census --kind general --q Q` at the default seed, computed with one
+# B-M set built per (a, b), before the (a, b) of one class came to share a set.
+GENERAL_SWEEP_DIGESTS = {
+    "7": "1ce4e2ee8ada7d99086c867d64c0188c3195fb3130d67d5cb9ee48f7d8b53a4c",
+    "8": "dea24d38d11f15cb3ff337c5e3406d2f7be87d88bcc25fbcd96c4b6bc9b4a2c0",
+}
+
+
+@pytest.mark.parametrize("q", sorted(GENERAL_SWEEP_DIGESTS))
+def test_census_general_beyond_q5_report_bytes(capsys, q):
+    """q = 8 is the first q where the proven modulus p^ceil(t/2) = 4 is below q."""
+    code, out, err = run(capsys, "census", "--kind", "general", "--q", q)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GENERAL_SWEEP_DIGESTS[q]
+    assert json.loads(err)["summary"]["min_nu_p_size_minus_1"] == {"7": 1, "8": 3}[q]
+
+
+@pytest.mark.parametrize("q", ["6", "11", "16"])
+@pytest.mark.parametrize("kind", ["bm-vs-hermitian", "general", "nonhermitian-scan"])
+def test_census_cli_b_m_kinds_reject_q_outside_their_range(capsys, kind, q):
+    code, out, err = run(capsys, "census", "--kind", kind, "--q", q)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if q != "6":  # 6 is no prime power, and the field flags say so first
+        assert err.endswith(" supports q in {3, 4, 5, 7, 8, 9}\n")
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 @pytest.mark.parametrize("kind", ["kestenband", "hermitian-pairs", "nonhermitian-scan"])
 def test_census_cli_rejects_samples_below_one(capsys, kind, samples):
