@@ -34,9 +34,9 @@ from .census import (
     kestenband_census,
     nonhermitian_pair_scan,
 )
-from .finite_field import field_for_q, make_field
+from .finite_field import field_for_q
 from .galois_ring import herm_char_value, make_ring
-from .padic_invariants import _snf_certified, enum_basis_monomials, monomial_invariant_exponent, type_of
+from .padic_invariants import _snf_certified, enum_basis_monomials, invariant_exponent, type_of
 from .proj_geom import PointSet, _space, enum_points, incidence_matrix, subspace_member_indices
 from .varieties import (
     BMParams,
@@ -53,17 +53,9 @@ from .varieties import (
 
 
 def _resolve_field(args):
-    q = getattr(args, "q", None)
-    p = getattr(args, "p", None)
-    t = getattr(args, "t", None)
-    if q is not None:
-        field = field_for_q(q)
-        if p is not None and field.p != p or t is not None and field.t != t:
-            raise ValueError(f"--q {q} conflicts with --p/--t")
-        return field
-    if p is None or t is None:
-        raise ValueError("need --q, or both --p and --t")
-    return make_field(p, t)
+    if args.q is None:
+        raise ValueError("need --q")
+    return field_for_q(args.q)
 
 
 def _emit(text: str, out: str | None):
@@ -76,8 +68,6 @@ def _emit(text: str, out: str | None):
 
 def _add_field_flags(sp, need_n=False):
     sp.add_argument("--q", type=int, help="prime power q (the field is GF(q^2))")
-    sp.add_argument("--p", type=int, help="characteristic")
-    sp.add_argument("--t", type=int, help="q = p^t")
     if need_n:
         sp.add_argument("--n", type=int, default=2, help="projective dimension (default 2)")
 
@@ -170,6 +160,8 @@ def cmd_enum(args) -> int:
     n = args.n
     if args.r is not None and args.what != "subspaces":
         raise ValueError(f"--r is for --what subspaces, not --what {args.what}")
+    if args.what == "lines" and n < 2:
+        raise ValueError(f"--what lines needs --n >= 2, not {n}")
     if args.what == "points":
         items = [list(pt) for pt in _space(n, field).points]
     elif args.what in ("lines", "subspaces"):
@@ -240,15 +232,11 @@ def cmd_invariants(args) -> int:
     p, t = field.p, field.t
     rows = []
     for m in enum_basis_monomials(n, field):
-        alpha = monomial_invariant_exponent(m, p, t, r)
-        row = {"monomial": list(m), "alpha": alpha}
         if any(m):
             tt = type_of(m, p, t)
-            row["lambda"] = list(tt.lam)
-            row["s"] = list(tt.s)
+            row = {"monomial": list(m), "alpha": invariant_exponent(tt.s, r), "lambda": list(tt.lam), "s": list(tt.s)}
         else:
-            row["lambda"] = None
-            row["s"] = None
+            row = {"monomial": list(m), "alpha": 0, "lambda": None, "s": None}
         rows.append(row)
     result = {"n": n, "p": p, "t": t, "r": r, "rows": rows}
     code = 0
@@ -276,16 +264,17 @@ def cmd_census(args) -> int:
     if kind in ("bm-vs-hermitian", "general") and args.samples is not None:
         raise ValueError(f"--kind {kind} sweeps every valid B-M pair; it takes no --samples")
     samples = args.samples or DEFAULT_SAMPLES
+    q = _resolve_field(args).q
     if kind == "kestenband":
-        report = kestenband_census(_q_of(args), samples, args.seed)
+        report = kestenband_census(q, samples, args.seed)
     elif kind == "bm-vs-hermitian":
-        report = bm_vs_hermitian_census(_q_of(args), seed=args.seed)
+        report = bm_vs_hermitian_census(q, seed=args.seed)
     elif kind == "general":
-        report = general_unital_congruence(_q_of(args), seed=args.seed)
+        report = general_unital_congruence(q, seed=args.seed)
     elif kind == "hermitian-pairs":
-        report = hermitian_pair_divisibility(args.n, _q_of(args), samples, args.seed)
+        report = hermitian_pair_divisibility(args.n, q, samples, args.seed)
     else:
-        report = nonhermitian_pair_scan(_q_of(args), samples, args.seed)
+        report = nonhermitian_pair_scan(q, samples, args.seed)
     text = report.to_json() if args.format == "json" else report.to_csv()
     _emit(text, args.out)
     print(json.dumps({"kind": report.kind, "summary": report.summary}, sort_keys=True), file=sys.stderr)
@@ -295,10 +284,6 @@ def cmd_census(args) -> int:
             print("first failing record: " + json.dumps(bad.to_json_dict(), sort_keys=True), file=sys.stderr)
         return 1
     return 0
-
-
-def _q_of(args) -> int:
-    return _resolve_field(args).q
 
 
 def cmd_charfn(args) -> int:

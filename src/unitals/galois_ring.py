@@ -125,7 +125,6 @@ class GaloisRing:
         self.zero = self.elem(())
         self.one = self.elem((1,))
         self.gen = self.elem((0, 1))  # X; the field degree 2t is at least 2
-        self._teich: dict[int, GaloisRingElem] = {}
         # herm_char_value memo: x.enc -> T(x)^(q+1); (ell, acc.coeffs) -> acc^E
         self._norm: dict[int, GaloisRingElem] = {}
         self._char: dict[tuple[int, tuple[int, ...]], GaloisRingElem] = {}
@@ -146,9 +145,6 @@ class GaloisRing:
         """The Teichmüller lift T(x): reduces to x, fixed by ^(p^degree)."""
         if x.field is not self.field:
             raise ValueError("element does not belong to the companion field")
-        cached = self._teich.get(x.enc)
-        if cached is not None:
-            return cached
         y = self.elem(x.coeffs)
         e = self.p**self.degree
         for _ in range(self.k + 2):
@@ -159,7 +155,6 @@ class GaloisRing:
         else:
             raise AssertionError("Hensel iteration failed to converge")
         assert y.to_field() == x
-        self._teich[x.enc] = y
         return y
 
     def __repr__(self):

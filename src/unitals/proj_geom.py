@@ -8,17 +8,17 @@ base-q^2 value of the tail after the leading 1.  These indices are the
 currency of PointSet, incidence rows and all census code; the FieldElem view
 of the points is built on first use.
 
-Subspaces are enumerated once per (n, r, field) through reduced-row-echelon
-pivot patterns, so every r-dimensional subspace (projective dimension r-1)
-appears exactly once, in a deterministic order.  Their point indices are read
-off the RREF basis B (pivots p_0 < ... < p_{r-1}) without normalizing: the
-points are B[k] + span(B[k+1:]) for k = r-1, ..., 0, each already normalized
-because B[k] has its leading 1 at p_k and every later row is 0 up to and at
-p_k.  So a point's index is the offset of p_k plus the base-q^2 value of
-its coordinates after p_k, and the coordinates of the whole span are built
-column by column from rotated exp-table rows (the multiples c*x) and one
-add-table row per entry (XOR when p = 2).  Incidence rows are bit-packed
-into Python integers; popcounts of mask ANDs are the fast intersection path.
+Subspaces are enumerated through reduced-row-echelon pivot patterns, so every
+r-dimensional subspace (projective dimension r-1) appears exactly once, in a
+deterministic order.  Their point indices, kept once per (n, r, field), are
+read off the RREF basis B (pivots p_0 < ... < p_{r-1}) without normalizing:
+the points are B[k] + span(B[k+1:]) for k = r-1, ..., 0, each already
+normalized because B[k] has its leading 1 at p_k and every later row is 0 up
+to and at p_k.  So a point's index is the offset of p_k plus the base-q^2
+value of its coordinates after p_k, and the coordinates of the whole span are
+built column by column from rotated exp-table rows (the multiples c*x) and one
+add-table row per entry (XOR when p = 2).  Incidence rows are bit-packed into
+Python integers; popcounts of mask ANDs are the fast intersection path.
 
 A collineation x -> Mx maps a set through column tables: for each column j,
 the vectors c*M[:, j] for every c in `Field.multiples_enc` order (0, g^0, ...),
@@ -40,7 +40,9 @@ MAX_POINTS = 1 << 20
 
 
 def point_count(n: int, Q: int) -> int:
-    """1 + Q + ... + Q^n, the points of PG(n, Q); ValueError above MAX_POINTS."""
+    """1 + Q + ... + Q^n, the points of PG(n, Q); ValueError for n < 1 or above MAX_POINTS."""
+    if n < 1:
+        raise ValueError(f"n = {n} must be >= 1")
     count = 1
     for _ in range(n):  # Horner's rule; stops early on a huge n
         count = count * Q + 1
@@ -64,15 +66,11 @@ class _Space:
     """Cached enumeration data for PG(n, q^2); internal."""
 
     def __init__(self, n: int, field: Field):
-        if n < 1:
-            raise ValueError(f"n = {n} must be >= 1")
         Q = field.size
         count = point_count(n, Q)
         self.n = n
         self.field = field
         self.count = count
-        # every member index is taken from this tuple, so equal indices share one int
-        self.ids = tuple(range(count))
         # _offsets[j]: the number of points whose first nonzero coordinate lies after j
         self._offsets = tuple((Q ** (n - j) - 1) // (Q - 1) for j in range(n + 1))
         pts = []
@@ -107,10 +105,8 @@ class _Space:
         Q, tail = self.field.size, 0
         for x in encs[j + 1 :]:
             tail = tail * Q + x
-        return self.ids[self._offsets[j] + tail]
+        return self._offsets[j] + tail
 
-    # the per-r caches below live as long as the _Space, which _space keeps for the process
-    @cache
     def subspaces(self, r: int) -> tuple:
         """RREF bases of the r-dim subspaces as rows of encodings, in enumeration order."""
         if not 1 <= r <= self.n:
@@ -135,6 +131,10 @@ class _Space:
         assert len(out) == gaussian_binomial(n1, r, field.size)
         return tuple(out)
 
+    # Two per-r caches live as long as the _Space, which _space keeps for the process: the
+    # point indices (read by subspace_member_indices and blocks_of) and the masks made from
+    # them (read by incidence_matrix and every section count).  subspaces() keeps nothing,
+    # as only the first of these caches and enum_subspaces read its bases.
     @cache
     def subspace_point_indices(self, r: int) -> tuple[tuple[int, ...], ...]:
         field, n1 = self.field, self.n + 1
@@ -278,7 +278,7 @@ class PointSet:
     def complement(self) -> PointSet:
         mem = set(self.members)
         return PointSet(
-            self.n, self.field, tuple(i for i in _space(self.n, self.field).ids if i not in mem)
+            self.n, self.field, tuple(i for i in range(_space(self.n, self.field).count) if i not in mem)
         )
 
     def coords(self) -> tuple[tuple[FieldElem, ...], ...]:
@@ -323,7 +323,7 @@ def _json_list(value, what: str) -> list:
 
 
 def all_points_set(n: int, field: Field) -> PointSet:
-    return PointSet(n, field, _space(n, field).ids)
+    return PointSet(n, field, tuple(range(_space(n, field).count)))
 
 
 # ---------------------------------------------------------------------------

@@ -103,7 +103,7 @@ def _canonical_variety(n: int, field: Field) -> PointSet:
     """H(I): the points with x_0^(q+1) + ... + x_n^(q+1) = 0, by evaluation at every point."""
     sp = _space(n, field)
     norm = [field.pow_enc(e, field.q + 1) for e in range(field.size)].__getitem__
-    ids = tuple(i for i, x in zip(sp.ids, sp.points) if not reduce(field.add_enc, map(norm, x)))
+    ids = tuple(i for i, x in enumerate(sp.points) if not reduce(field.add_enc, map(norm, x)))
     return PointSet(n, field, ids)
 
 

@@ -100,7 +100,7 @@ def test_kestenband_census_small(q):
         kestenband_census(7)
 
 
-def test_kestenband_census_deterministic_and_threaded():
+def test_kestenband_census_is_deterministic_per_seed():
     a = kestenband_census(2, samples=10, seed=5)
     assert a.to_json() == kestenband_census(2, samples=10, seed=5).to_json()
     c = kestenband_census(2, samples=10, seed=6)

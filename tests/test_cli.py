@@ -26,17 +26,58 @@ def test_field_info(capsys):
     assert info["modulus"] == [1, 0, 1]
 
 
-def test_field_info_p_t_flags(capsys):
-    code, out, _ = run(capsys, "field-info", "--p", "2", "--t", "2")
-    assert code == 0
-    assert json.loads(out)["q"] == 4
-    # conflicting flags are a usage error
-    code, _, err = run(capsys, "field-info", "--q", "3", "--p", "2")
-    assert code == 2 and "conflicts" in err
-    code, _, err = run(capsys, "field-info", "--p", "4", "--t", "1")
-    assert code == 2
-    code, _, err = run(capsys, "field-info")
-    assert code == 2
+# the bytes `field-info --p 2 --t 2` printed while fields could also be named by p and t
+FIELD_INFO_Q4 = """{
+  "generator": 2,
+  "modulus": [
+    1,
+    0,
+    0,
+    1,
+    1
+  ],
+  "p": 2,
+  "q": 4,
+  "size": 16,
+  "subfield": [
+    0,
+    1,
+    10,
+    11
+  ],
+  "t": 2
+}
+"""
+
+
+def test_field_info_q4_bytes(capsys):
+    assert run(capsys, "field-info", "--q", "4") == (0, FIELD_INFO_Q4, "")
+
+
+# each subcommand that names a field, with its other required flags
+FIELD_COMMANDS = {
+    "field-info": [],
+    "enum": ["--what", "points"],
+    "make-unital": ["--kind", "hermitian"],
+    "invariants": ["--r", "2"],
+    "census": ["--kind", "kestenband"],
+    "charfn-check": [],
+}
+
+
+@pytest.mark.parametrize("flag", ["--p", "--t"])
+@pytest.mark.parametrize("command", sorted(FIELD_COMMANDS))
+def test_field_commands_refuse_p_and_t(capsys, command, flag):
+    """Fields are named by --q alone."""
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--q", "4", *FIELD_COMMANDS[command], flag, "2"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(FIELD_COMMANDS))
+def test_field_commands_need_q(capsys, command):
+    assert run(capsys, command, *FIELD_COMMANDS[command]) == (2, "", "error: need --q\n")
 
 
 def test_enum_points_and_lines(capsys):
@@ -55,6 +96,21 @@ def test_enum_points_and_lines(capsys):
         capsys, "enum", "--q", "2", "--n", "3", "--what", "subspaces", "--r", "2"
     )
     assert json.loads(out)["count"] == 357
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--what", "monomials", "--n", "-1"], "n = -1 must be >= 1"),
+        (["--what", "monomials", "--n", "0"], "n = 0 must be >= 1"),
+        (["--what", "points", "--n", "0"], "n = 0 must be >= 1"),
+        (["--what", "lines", "--n", "1"], "--what lines needs --n >= 2, not 1"),
+        (["--what", "lines", "--n", "0"], "--what lines needs --n >= 2, not 0"),
+    ],
+)
+def test_enum_bad_n(capsys, flags, message):
+    """Every kind of enum refuses a dimension it cannot enumerate, on one error line."""
+    assert run(capsys, "enum", "--q", "2", *flags) == (2, "", f"error: {message}\n")
 
 
 def test_make_and_verify_unital(tmp_path, capsys):
@@ -165,7 +221,6 @@ def test_verify_unital_malformed_input(tmp_path, capsys, case):
 HUGE_P = 1000000000000000003  # a prime; trial division up to its root never ends
 HUGE_INPUTS = {
     "verify-unital huge p": ["verify-unital", "--in", "{huge_json}"],
-    "field-info huge p": ["field-info", "--p", str(HUGE_P), "--t", "1"],
     "field-info huge q": ["field-info", "--q", "1000000007"],
     "enum huge n": ["enum", "--q", "2", "--n", "1000000000", "--what", "points"],
     "enum monomials huge n": ["enum", "--q", "2", "--n", "1000000000", "--what", "monomials"],
