@@ -39,7 +39,6 @@ from .varieties import (
     _draw_form,
     all_valid_bm_params,
     bm_unital,
-    hermitian_variety,
     is_unital_embedded,
 )
 
@@ -198,18 +197,18 @@ def _form_pairs(n: int, field: Field, seed: int, redraws: Counter):
     """Endless seeded pairs of nonsingular forms, as (descriptor, variety) for each side.
 
     Each form is drawn by `_draw_form` from its own seed, taken from
-    random.Random(seed); redraws["degenerate"] counts the singular candidates
-    rejected on the way.
+    random.Random(seed), and its variety is the image of H(I) under the draw's
+    unitary frame; redraws["degenerate"] counts the singular candidates rejected.
     """
     rng = random.Random(seed)
     while True:
         pair = []
         for _ in range(2):
             s = rng.randrange(1 << 30)
-            form, rejected = _draw_form(n, field, s)
+            rows, M, rejected = _draw_form(n, field, s)
             redraws["degenerate"] += rejected
-            desc = {"kind": "hermitian_form", "matrix": [list(row) for row in form._enc_matrix], "seed": s}
-            pair += [desc, hermitian_variety(form)]
+            desc = {"kind": "hermitian_form", "matrix": [list(row) for row in rows], "seed": s}
+            pair += [desc, _image_enc(M, _canonical_variety(n, field))]
         yield pair
 
 

@@ -30,7 +30,7 @@ import itertools
 import math
 from typing import NamedTuple
 
-from .finite_field import Field
+from .finite_field import Field, is_prime
 from .proj_geom import point_count
 
 
@@ -148,7 +148,9 @@ def snf_valuation_multiset(matrix, p: int) -> tuple[int, ...]:
 
 
 def _snf_certified(matrix, p: int) -> tuple[tuple[int, ...], int]:
-    """(snf_valuation_multiset(matrix, p), the k whose modulus p^k certified it)."""
+    """(snf_valuation_multiset(matrix, p), the k whose modulus p^k certified it); p must be prime."""
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not a prime")
     rows = [row for row in matrix if any(row)]
     full_rank = min(len(rows), len(rows[0])) if rows else 0
     hadamard_sq = math.prod(sorted((sum(x * x for x in row) for row in rows), reverse=True)[:full_rank])

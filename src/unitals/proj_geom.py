@@ -191,10 +191,15 @@ def enum_points(n: int, field: Field) -> tuple[tuple[FieldElem, ...], ...]:
 
 def point_index(n: int, field: Field, coords) -> int:
     """Canonical index of the point with the given (any-scale) coordinates."""
-    encs = tuple(e.enc for e in coords)
-    if len(encs) != n + 1:
-        raise ValueError(f"a point of PG({n}, {field.size}) has {n + 1} coordinates")
-    return _space(n, field).index_of(encs)
+    return _space(n, field).index_of(_point_encs(n, field, coords))
+
+
+def _point_encs(n: int, field: Field, coords) -> tuple[int, ...]:
+    """The encodings of coords; ValueError unless they are n + 1 elements of field."""
+    coords = tuple(coords)
+    if len(coords) != n + 1 or any(getattr(x, "field", None) is not field for x in coords):
+        raise ValueError(f"a point of PG({n}, {field.size}) has {n + 1} coordinates in GF({field.size})")
+    return tuple(x.enc for x in coords)
 
 
 def enum_subspaces(n: int, r: int, field: Field) -> tuple:

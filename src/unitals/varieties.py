@@ -30,7 +30,7 @@ from functools import cache, cached_property, reduce
 
 from .finite_field import Field, FieldElem, abs_trace, frobenius, is_square
 from .linalg import det_enc, nullspace_mod_p
-from .proj_geom import PointSet, _image_enc, _mask_of, _space
+from .proj_geom import PointSet, _image_enc, _mask_of, _point_encs, _space
 
 _FIT_ENUM_LIMIT = 1 << 20
 
@@ -75,7 +75,7 @@ class HermitianForm:
     def evaluate(self, coords) -> FieldElem:
         """P^dagger C P, the 1 x 1 product conj(P)^T (C P); always lands in GF(q)."""
         f = self.field
-        x = tuple(c.enc for c in coords)
+        x = _point_encs(self.n, f, coords)
         return f.elem(f.conj_dot_enc(x, f.mat_vec_enc(self._enc_matrix, x)))
 
     @staticmethod
@@ -84,18 +84,19 @@ class HermitianForm:
 
 
 def hermitian_variety(form: HermitianForm) -> PointSet:
-    """All points P of PG(n, q^2) with form(P) = 0; form must be nonsingular.
+    """All points P of PG(n, q^2) with form(P) = 0; ValueError if the form is singular.
 
-    Built as M.H(I), the image of the canonical variety under a unitary frame
-    M of the form: M^dagger C M = I, certified by `_unitary_frame`.  This is
-    exact: for x = My, x^dagger C x = y^dagger M^dagger C M y = y^dagger y,
-    and M is nonsingular, so x lies on H(C) exactly when y lies on H(I).
-    The work is one column-table sum per point of the variety, O(q^(2n-1)), not one
-    evaluation per point of PG(n, q^2).
+    Built as M.H(I), the image of the canonical variety under a unitary frame M of the
+    form, M^dagger C M = I, found and certified by `_unitary_frame`, which has none
+    exactly on a singular form.  This is exact: for x = My, x^dagger C x =
+    y^dagger M^dagger C M y = y^dagger y, and M is nonsingular, so x lies on H(C)
+    exactly when y lies on H(I).  The work is one column-table sum per point of the
+    variety, O(q^(2n-1)), not one evaluation per point of PG(n, q^2).
     """
-    if not form.is_nonsingular:
+    M = _unitary_frame(form.field, form._enc_matrix)
+    if M is None:
         raise ValueError("form is singular")
-    return _image_enc(_unitary_frame(form), _canonical_variety(form.n, form.field))
+    return _image_enc(M, _canonical_variety(form.n, form.field))
 
 
 @cache
@@ -107,20 +108,20 @@ def _canonical_variety(n: int, field: Field) -> PointSet:
     return PointSet(n, field, ids)
 
 
-def _unitary_frame(form: HermitianForm) -> tuple[tuple[int, ...], ...]:
-    """Rows of encodings of a matrix M with M^dagger C M = I, for a nonsingular form.
+def _unitary_frame(field: Field, C) -> tuple[tuple[int, ...], ...] | None:
+    """Rows of encodings of M with M^dagger C M = I for C (rows of encodings); None iff C is singular.
 
-    Hermitian Gram-Schmidt with h(u, w) = conj(u)^T C w on the columns of M,
-    starting from the standard basis.  Each step takes the first remaining
-    vector v with h(v, v) = d != 0 (when all are isotropic, first replaces
-    basis[0] by basis[0] + lam*basis[j] for the first (j, lam) with
-    h(w, w) = Tr(lam*h(basis[0], basis[j])) != 0), scales v by
-    s = g^(-log(d)/(q+1)) so that h(v, v) = N(s)*d = 1, and projects
-    b -> b - h(v, b)*v off every remaining vector.  d lies in GF(q)*, the
-    (q+1)-th powers of GF(q^2)*, so q+1 divides log(d).  M^dagger C M = I is
-    recomputed from M alone before M is returned; AssertionError if not.
+    Hermitian Gram-Schmidt with h(u, w) = conj(u)^T C w on the columns of M, starting
+    from the standard basis.  Each step takes the first remaining vector v with
+    h(v, v) = d != 0 (when all are isotropic, first replaces basis[0] by basis[0] + lam*basis[j]
+    for the first (j, lam) with h(w, w) = Tr(lam*h(basis[0], basis[j])) != 0, which exists on
+    a nonsingular C, as some h(basis[0], basis[j]) != 0 and the trace is onto GF(q)),
+    scales v by s = g^(-log(d)/(q+1)) so that h(v, v) = N(s)*d = 1, and projects
+    b -> b - h(v, b)*v off every remaining vector.  d lies in GF(q)*, the (q+1)-th
+    powers of GF(q^2)*, so q+1 divides log(d).  M^dagger C M = I, whence
+    det(C)*N(det M) = 1, is recomputed from M before M is returned; AssertionError if not.
     """
-    f, n1, C = form.field, form.n + 1, form._enc_matrix
+    f, n1 = field, len(C)
     add, mul, neg, log, exp = f.add_enc, f.mul_enc, f.neg_enc, f._log, f._exp
 
     # each basis vector b carries C b in its last n+1 slots; every step below is linear in b
@@ -138,7 +139,7 @@ def _unitary_frame(form: HermitianForm) -> tuple[tuple[int, ...], ...]:
             candidates = (axpy(lam, b, basis[0]) for b in basis[1:] for lam in range(1, f.size))
             w = next((w for w in candidates if h(w, w)), None)
             if w is None:
-                raise AssertionError("isotropic basis spans a singular subspace")
+                return None
             basis[0], k = w, 0
         v = basis.pop(k)
         m = log[h(v, v)]
@@ -167,16 +168,17 @@ def _random_form_candidates(n: int, field: Field, rng: random.Random):
         yield m
 
 
-def _draw_form(n: int, field: Field, seed: int) -> tuple[HermitianForm, int]:
-    """Seeded rejection sampling: the first nonsingular candidate and how many singular ones preceded it."""
+def _draw_form(n: int, field: Field, seed: int) -> tuple[list[list[int]], tuple[tuple[int, ...], ...], int]:
+    """Seeded rejection sampling: (rows, unitary frame, how many singular candidates preceded it)."""
     for rejected, m in enumerate(_random_form_candidates(n, field, random.Random(seed))):
-        if det_enc(field, m):
-            return HermitianForm._of(field, m), rejected
+        M = _unitary_frame(field, m)
+        if M is not None:
+            return m, M, rejected
 
 
 def random_hermitian_form(n: int, field: Field, seed: int) -> HermitianForm:
     """Seeded nonsingular conjugate-symmetric matrix (rejection sampling)."""
-    return _draw_form(n, field, seed)[0]
+    return HermitianForm._of(field, _draw_form(n, field, seed)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +373,8 @@ def check_property_I(S: PointSet, r: int, beta: int) -> bool:
     """Every r-dim subspace meets S in a multiple of p^beta points."""
     if not 1 < r <= S.n:
         raise ValueError(f"r = {r} must lie in (1, {S.n}]")
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
     pb = S.field.p**beta
     return all(c % pb == 0 for c in _sections(S, r))
 
@@ -455,7 +459,7 @@ def fit_hermitian_form(S: PointSet) -> HermitianForm | None:
         if not any(combo):
             continue
         m = matrix([sum(c * vec[k] for c, vec in zip(combo, null)) % p for k in range(u)])
-        if det_enc(field, m):
+        if _unitary_frame(field, m) is not None:
             if any(value(m, x) for x in pts):
                 raise AssertionError("fitted form does not vanish on the point set")
             return HermitianForm._of(field, m)

@@ -144,6 +144,18 @@ REPORT_DIGESTS = {
         "e1d0a5046b27e2b567160e2c7cf905cef2b58927b86b314e8fe118c38004add1",
         "6f211a35101d4b53e618600c0e88da1c3fa78715f41a70ddd27e19ec8dc609ab",
     ),
+    # the q = 5 plane and the n = 3 space, frozen while a determinant still
+    # judged each sampled form; their summaries count 1 and 17 singular draws
+    "kestenband_q5": (
+        lambda: kestenband_census(5, samples=10),
+        "69060c23cfc7f1811509abfb8503eb26aa3f3026be7ef4e26525a28fda460367",
+        "8fb79e121171469b34fd418f030af55093d05da34e1af7d6a2a36d1bd9fee3c4",
+    ),
+    "hermitian_pairs_n3": (
+        lambda: hermitian_pair_divisibility(3, 2, samples=10),
+        "55b616a3110fce3710c7e616d7316b09ea4826eff53ed2f0c9a61ed1b0492d3a",
+        "a4429a83ac46b617e41b131fc2c4823f141ec8a613e8fb9dbbdceda97b8fe301",
+    ),
 }
 
 

@@ -146,6 +146,13 @@ def test_snf_small_matrices():
     assert snf_valuation_multiset([[3, 0], [0, 5]], 2) == (0, 0)
 
 
+@pytest.mark.parametrize("p", [0, 1, 4, -3])
+def test_snf_refuses_a_modulus_that_is_not_prime(p):
+    """Valuations are p-adic only for a prime p; at p = 1 the doubling of k would never end."""
+    with pytest.raises(ValueError, match=f"^p = {p} is not a prime$"):
+        snf_valuation_multiset([[1]], p)
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_snf_divisors_beyond_the_first_precision(p):
     """Divisors of valuation 8 or more are found only after k doubles."""

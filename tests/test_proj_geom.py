@@ -51,6 +51,17 @@ def test_point_enumeration(n, q, npoints):
     assert point_index(n, f, tuple(g * x for x in pts[5])) == 5
 
 
+def test_point_index_refuses_coordinates_that_are_not_a_point():
+    """Too few or too many coordinates, or coordinates over another field, name no point of PG(2, 4)."""
+    f = field_for_q(2)
+    pt = enum_points(2, f)[7]
+    assert point_index(2, f, iter(pt)) == 7
+    bad = [pt[:2], (*pt, f.one), enum_points(2, field_for_q(3))[40], enum_points(2, field_for_q(3))[7], (1, 0, 0)]
+    for coords in bad:
+        with pytest.raises(ValueError, match=r"^a point of PG\(2, 4\) has 3 coordinates in GF\(4\)$"):
+            point_index(2, f, coords)
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     case=st.sampled_from([(1, 2, 1), (1, 5, 1), (2, 2, 1), (2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1), (3, 3, 1)]),

@@ -15,6 +15,7 @@ from unitals.varieties import (
     _draw_form,
     _random_form_candidates,
     _subfield_gfp_basis,
+    _unitary_frame,
     all_valid_bm_params,
     blocks_of,
     bm_affine_value,
@@ -155,12 +156,58 @@ def test_random_hermitian_form_deterministic():
     # rejection keeps only nonsingular candidates: the draw is the first one after `rejected` singular ones
     total = 0
     for seed in range(20):
-        form, rejected = _draw_form(2, f, seed)
+        rows, frame, rejected = _draw_form(2, f, seed)
         cands = list(itertools.islice(_random_form_candidates(2, f, random.Random(seed)), rejected + 1))
         assert all(not det_enc(f, cand) for cand in cands[:-1])
-        assert HermitianForm._of(f, cands[-1]) == form == random_hermitian_form(2, f, seed)
+        assert det_enc(f, rows) and rows == cands[-1]
+        assert HermitianForm._of(f, rows) == random_hermitian_form(2, f, seed)
         total += rejected
     assert total > 0  # some seed did draw a singular candidate first
+
+
+# (n, p, t) for (n, q) in {(1,2), (1,3), (2,2), (2,3), (2,4), (2,5), (3,2), (3,3)}
+FRAME_CASES = [(1, 2, 1), (1, 3, 1), (2, 2, 1), (2, 3, 1), (2, 2, 2), (2, 5, 1), (3, 2, 1), (3, 3, 1)]
+
+
+def _rank_one_forms(n, f, rng, count):
+    """v v^dagger for seeded nonzero v, as rows of encodings: entry (i, j) = v_i conj(v_j)."""
+    for _ in range(count):
+        v = [0]
+        while not any(v):
+            v = [rng.randrange(f.size) for _ in range(n + 1)]
+        yield [[f.mul_enc(x, f._conj[y]) for y in v] for x in v]
+
+
+@pytest.mark.parametrize("n,p,t", FRAME_CASES)
+def test_unitary_frame_exists_exactly_on_nonsingular_forms(n, p, t):
+    """_unitary_frame(f, C) is None iff det(C) = 0; a frame it returns satisfies M^dagger C M = I."""
+    f = make_field(p, t)
+    rng = random.Random(1000 * n + 10 * p + t)
+    forms = list(itertools.islice(_random_form_candidates(n, f, rng), 40))
+    forms += [encs for m, encs in ZERO_DIAGONAL if m == n]
+    forms += _rank_one_forms(n, f, rng, 10)
+    identity = tuple(tuple(f.elem(int(i == j)) for j in range(n + 1)) for i in range(n + 1))
+    outcomes = set()
+    for C in forms:
+        frame = _unitary_frame(f, C)
+        outcomes.add(frame is None)
+        assert (frame is None) == (det_enc(f, C) == 0)
+        if frame is not None:
+            M = tuple(tuple(map(f.elem, row)) for row in frame)
+            M_dagger = tuple(zip(*[[frobenius(x, t) for x in row] for row in M]))
+            assert mat_mul(M_dagger, mat_mul(tuple(tuple(map(f.elem, row)) for row in C), M)) == identity
+    assert outcomes == {True, False}  # both answers were exercised
+
+
+def test_evaluate_refuses_coordinates_that_are_not_a_point():
+    f = field_for_q(2)
+    form = HermitianForm.identity(2, f)
+    pt = enum_points(2, f)[7]
+    assert form.evaluate(pt) == form.evaluate(iter(pt))
+    bad = [pt[:2], (*pt, f.one), enum_points(2, field_for_q(3))[7], (pt[0], pt[1], 1)]
+    for coords in bad:
+        with pytest.raises(ValueError, match=r"^a point of PG\(2, 4\) has 3 coordinates in GF\(4\)$"):
+            form.evaluate(coords)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -299,6 +346,10 @@ def test_check_property_I(q):
     assert not check_property_I(H, r=2, beta=f.t)  # sections are 1 or q+1
     with pytest.raises(ValueError):
         check_property_I(comp, r=1, beta=1)
+    # p^beta with beta < 0 is no integer modulus; beta = 0 asks for multiples of 1
+    assert check_property_I(H, r=2, beta=0)
+    with pytest.raises(ValueError, match="^beta must be >= 0$"):
+        check_property_I(H, r=2, beta=-1)
 
 
 def test_fit_hermitian_form_recovers_the_identity():
