@@ -132,8 +132,8 @@ class _Space:
         return tuple(out)
 
     # Two per-r caches live as long as the _Space, which _space keeps for the process: the
-    # point indices (read by subspace_member_indices and blocks_of) and the masks made from
-    # them (read by incidence_matrix and every section count).  subspaces() keeps nothing,
+    # point indices (read by subspace_member_indices) and the masks made from them (read by
+    # incidence_matrix and every section count).  subspaces() keeps nothing,
     # as only the first of these caches and enum_subspaces read its bases.
     @cache
     def subspace_point_indices(self, r: int) -> tuple[tuple[int, ...], ...]:

@@ -10,8 +10,8 @@ import itertools
 from unitals.finite_field import _is_irreducible, frobenius
 from unitals.galois_ring import GaloisRing, GaloisRingElem
 from unitals.linalg import nullspace_mod_p
-from unitals.proj_geom import PointSet, _space, enum_points
-from unitals.varieties import _FIT_ENUM_LIMIT, HermitianForm, _subfield_gfp_basis
+from unitals.proj_geom import PointSet, _mask_of, _space, enum_points
+from unitals.varieties import _FIT_ENUM_LIMIT, HermitianForm, _line_sections, _subfield_gfp_basis
 
 _TEICH_ENUM_LIMIT = 1 << 16
 
@@ -138,3 +138,45 @@ def fit_hermitian_form_full_system(S: PointSet) -> HermitianForm | None:
         if form.is_nonsingular:
             return form
     return None
+
+
+def blocks_of_by_line_scan(S: PointSet) -> tuple[tuple[int, ...], ...]:
+    """Secant-line sections of a unital, each read by scanning every point of its line for membership."""
+    check, counts = _line_sections(S)
+    if not check.ok:
+        raise ValueError(f"not a unital: profile {check.profile}, size {check.size}")
+    q = S.field.q
+    members = set(S.members)
+    blocks = tuple(
+        tuple(i for i in ids if i in members)
+        for ids, c in zip(_space(2, S.field).subspace_point_indices(2), counts)
+        if c == q + 1
+    )
+    check_design_by_scan(S.members, blocks, q + 1, q * q * (q * q - q + 1))
+    return blocks
+
+
+def check_design_by_scan(points, blocks, k: int, b: int) -> None:
+    """AssertionError unless the b blocks of k points cover every pair of points once, block by block.
+
+    One coverage bitmask per point, indexed by position in `points`: seen[i]
+    has a bit for every point that already shares a block with point i.
+    """
+    if len(blocks) != b:
+        raise AssertionError("secant count off")
+    pos = {x: i for i, x in enumerate(points)}
+    seen = [0] * len(points)
+    for blk in blocks:
+        if len(blk) != k:
+            raise AssertionError("block size off")
+        at = [pos[x] for x in blk]
+        m = _mask_of(at)
+        for i in at:
+            twice = seen[i] & (m ^ (1 << i))
+            if twice:
+                pair = tuple(sorted((points[i], points[(twice & -twice).bit_length() - 1])))
+                raise AssertionError(f"pair {pair} covered twice")
+            seen[i] |= m
+    full = (1 << len(points)) - 1
+    if any(s != full for s in seen):
+        raise AssertionError("pair coverage incomplete")

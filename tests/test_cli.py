@@ -259,6 +259,13 @@ def _miscount_secants(monkeypatch):
     monkeypatch.setattr(varieties, "_check_design", lambda pts, blocks, k, b: check(pts, blocks, k, b + 1))
 
 
+def _drop_line(monkeypatch):
+    from unitals import varieties
+
+    lines = varieties._lines_through
+    monkeypatch.setattr(varieties, "_lines_through", lambda field, i: lines(field, i)[:-1])
+
+
 def _stall_hensel(monkeypatch):
     from unitals.galois_ring import GaloisRingElem
 
@@ -310,6 +317,10 @@ INTERNAL_ERRORS = {
     ),
     "blocks design": (
         _miscount_secants, ["verify-unital", "--in", "{unital}"], "AssertionError: secant count off",
+    ),
+    "line sections": (
+        _drop_line, ["verify-unital", "--in", "{unital}"],
+        "AssertionError: line sections disagree with the line masks",
     ),
     "fitted form": (
         _misfit_form, ["verify-unital", "--in", "{unital}"],

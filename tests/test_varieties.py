@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from unitals.finite_field import field_for_q, frobenius, make_field
 from unitals.linalg import det_enc
-from unitals.proj_geom import PointSet, all_points_set, enum_points, subspace_member_indices
+from unitals.proj_geom import PointSet, _space, all_points_set, enum_points, subspace_member_indices
 from unitals.varieties import (
     BMParams,
     HermitianForm,
     _bm_point_ids,
     _check_design,
     _draw_form,
+    _lines_through,
     _random_form_candidates,
     _subfield_gfp_basis,
     _unitary_frame,
@@ -29,6 +30,8 @@ from unitals.varieties import (
 )
 
 from reference_oracles import (
+    blocks_of_by_line_scan,
+    check_design_by_scan,
     fit_hermitian_form_full_system,
     hermitian_variety_by_evaluation,
     irreducible_moduli,
@@ -57,6 +60,15 @@ def test_hermitian_form_validation():
         HermitianForm(((f.one, f.zero), (f.zero, h.one)))
     with pytest.raises(ValueError, match="mixed-field"):
         HermitianForm(((f.one, h.zero), (h.zero, f.one)))
+
+
+@pytest.mark.parametrize("rows", [((1, 0), (0, 1)), ((None,),), ((0, "1"), ("1", 0))], ids=["ints", "None", "str"])
+def test_hermitian_form_refuses_entries_that_are_not_field_elements(rows):
+    with pytest.raises(ValueError, match="^matrix entries must be field elements$"):
+        HermitianForm(rows)
+    f = make_field(2, 1)
+    with pytest.raises(ValueError, match="^matrix entries must be field elements$"):
+        HermitianForm(((f.one, f.zero), (f.zero, rows[0][0])))
 
 
 # GF(p)-basis of GF(q) as encodings, greedy over ascending encodings of the subfield
@@ -263,6 +275,98 @@ def test_design_check_rejects_hand_made_block_lists():
         _check_design(points, AG23[:-1], 3, 12)
     with pytest.raises(AssertionError, match="block size off"):
         _check_design(points, AG23[:-1] + [(2, 4)], 3, 12)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_lines_through_is_the_transpose_of_the_line_table(q):
+    f = field_for_q(q)
+    Q, sp = f.size, _space(2, f)
+    through = [[] for _ in range(sp.count)]
+    for line, ids in enumerate(subspace_member_indices(2, 2, f)):
+        for i in ids:
+            through[i].append(line)
+    for i, lines in enumerate(through):
+        got = _lines_through(f, i)
+        assert len(got) == len(set(got)) == Q + 1
+        assert all(0 <= line < Q * Q + Q + 1 for line in got)
+        assert sorted(got) == lines
+
+
+@pytest.mark.parametrize(
+    "sets,q",
+    [("H(I)", q) for q in (2, 3, 4, 5)] + [("every B-M", q) for q in (3, 4)] + [("seeded B-M", q) for q in (7, 8, 9)],
+)
+def test_blocks_of_equals_the_line_scan(sets, q):
+    """The same secant tuples, in the same order, from the incidences as from scanning every line."""
+    f = field_for_q(q)
+    if sets == "H(I)":
+        unitals = [hermitian_variety(HermitianForm.identity(2, f))]
+    else:
+        params = all_valid_bm_params(f)
+        unitals = [bm_unital(pr) for pr in (params if sets == "every B-M" else random.Random(q).sample(params, 3))]
+    for U in unitals:
+        assert blocks_of(U) == blocks_of_by_line_scan(U)
+
+
+def _design_outcome(check, points, blocks, k, b):
+    try:
+        check(points, blocks, k, b)
+    except AssertionError as e:
+        return str(e)
+    return None
+
+
+def _design_faults(blocks, b, rng):
+    """Seeded faults of a design: (blocks, b) pairs, most of which are no longer a design."""
+    blocks = [list(blk) for blk in blocks]
+
+    def pick():
+        return rng.randrange(len(blocks))
+
+    for _ in range(10):  # move a point from one block to another
+        out, x, y = [list(blk) for blk in blocks], pick(), pick()
+        if x != y:
+            out[y].append(out[x].pop(rng.randrange(len(out[x]))))
+            yield out, b
+    for _ in range(10):  # replace a point by a point of another block, keeping sizes
+        out, x, y = [list(blk) for blk in blocks], pick(), pick()
+        out[y][rng.randrange(len(out[y]))] = rng.choice(out[x])
+        yield out, b
+    for _ in range(10):  # repeat a point inside a block
+        out, x = [list(blk) for blk in blocks], pick()
+        i, j = rng.sample(range(len(out[x])), 2)
+        out[x][j] = out[x][i]
+        yield out, b
+    for _ in range(10):  # drop a block, with the count of what is left and with the old count
+        out = [list(blk) for blk in blocks]
+        del out[pick()]
+        yield out, b - 1
+        yield out, b
+    for _ in range(5):  # add a copy of a block, so that b*k*(k-1) = v*(v-1) breaks
+        yield blocks + [list(blocks[pick()])], b + 1
+    for _ in range(5):  # the design itself, blocks and points reordered
+        out = [rng.sample(blk, len(blk)) for blk in blocks]
+        rng.shuffle(out)
+        yield out, b
+
+
+def test_design_union_path_agrees_with_the_scan():
+    f = field_for_q(3)
+    H = hermitian_variety(HermitianForm.identity(2, f))
+    blocks = blocks_of(H)
+    cases = [(tuple(range(9)), AG23, 3, 12), (tuple(range(9)), AG23[:-1] + [(0, 1, 6)], 3, 12)]
+    cases += [(tuple(range(9)), AG23[:-1], 3, b) for b in (11, 12)]
+    cases += [(tuple(range(9)), AG23[:-1] + [(2, 4)], 3, 12), (tuple(range(9)), AG23 + [AG23[0]], 3, 13)]
+    cases += [(H.members, out, 4, b) for out, b in _design_faults(blocks, len(blocks), random.Random(3))]
+    assert len(cases) > 50
+    outcomes = []
+    for points, blks, k, b in cases:
+        outcome = _design_outcome(_check_design, points, blks, k, b)
+        assert outcome == _design_outcome(check_design_by_scan, points, blks, k, b)
+        outcomes.append(outcome)
+    assert None in outcomes
+    kinds = {"covered twice" if o.endswith("covered twice") else o for o in outcomes if o}
+    assert kinds == {"secant count off", "block size off", "covered twice", "pair coverage incomplete"}
 
 
 @pytest.mark.parametrize("q,count", [(3, 18), (4, 72)])
