@@ -197,18 +197,18 @@ def _form_pairs(n: int, field: Field, seed: int, redraws: Counter):
     """Endless seeded pairs of nonsingular forms, as (descriptor, variety) for each side.
 
     Each form is drawn by `_draw_form` from its own seed, taken from
-    random.Random(seed), and its variety is the image of H(I) under the draw's
-    unitary frame; redraws["degenerate"] counts the singular candidates rejected.
+    random.Random(seed), and its variety is the zero set the draw read off the
+    packed value rows; redraws["degenerate"] counts the singular candidates rejected.
     """
     rng = random.Random(seed)
     while True:
         pair = []
         for _ in range(2):
             s = rng.randrange(1 << 30)
-            rows, M, rejected = _draw_form(n, field, s)
+            rows, V, rejected = _draw_form(n, field, s)
             redraws["degenerate"] += rejected
             desc = {"kind": "hermitian_form", "matrix": [list(row) for row in rows], "seed": s}
-            pair += [desc, _image_enc(M, _canonical_variety(n, field))]
+            pair += [desc, V]
         yield pair
 
 

@@ -3,11 +3,14 @@
 A Hermitian form is given by a conjugate-symmetric matrix C over GF(q^2)
 (entry(j,i) = entry(i,j)^q); its variety is the set of points P with
 P^dagger C P = 0.  For n = 2 and C nonsingular this is the classical unital
-of q^3+1 points.  Only the canonical variety H(I), sum x_i^(q+1) = 0, is found
-by evaluating at every point (once per (n, field)); any other H(C) is its
-image M.H(I) under a unitary frame M with M^dagger C M = I, found by Hermitian
-Gram-Schmidt and certified by recomputing M^dagger C M before use.  The image
-is exact because x = My gives x^dagger C x = y^dagger y.
+of q^3+1 points.  The value x^dagger C x is GF(p)-linear in the digits of the
+entries of C, so V(C) is read off packed value rows: the values of the digit
+forms at every point, built once per (n, field), one byte lane per point.  A
+form costs a lane-wise sum of its digits' rows and one zero test per value
+digit.  The size of V(C) gives the rank of C, so no frame or determinant is
+needed to test nonsingularity.  The canonical variety H(I), sum x_i^(q+1) = 0,
+is also found by evaluating at every point (once per (n, field)), which is the
+kernel's independent check and the sweeps' own route.
 
 The Buekenhout-Metz family is built in the affine chart
     U_{a,b} = {(1, y, a*y^2 + b*y^(q+1) + r) : y in GF(q^2), r in GF(q)}
@@ -24,13 +27,15 @@ from __future__ import annotations
 import itertools
 import operator
 import random
+import sys
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property, lru_cache, reduce
 
 from .finite_field import Field, FieldElem, abs_trace, frobenius, is_square
 from .linalg import det_enc, nullspace_mod_p
-from .proj_geom import PointSet, _image_enc, _mask_of, _point_encs, _space
+from .proj_geom import PointSet, _mask_of, _point_encs, _space
 
 _FIT_ENUM_LIMIT = 1 << 20
 
@@ -43,7 +48,8 @@ class HermitianForm:
 
     def __post_init__(self):
         rows = self.matrix
-        if not rows or any(len(row) != len(rows) for row in rows):
+        square = isinstance(rows, Sequence) and all(isinstance(r, Sequence) and len(r) == len(rows) for r in rows)
+        if not rows or not square:
             raise ValueError("matrix must be square, with at least one row")
         if any(not isinstance(getattr(x, "field", None), Field) for row in rows for x in row):
             raise ValueError("matrix entries must be field elements")
@@ -88,17 +94,16 @@ class HermitianForm:
 def hermitian_variety(form: HermitianForm) -> PointSet:
     """All points P of PG(n, q^2) with form(P) = 0; ValueError if the form is singular.
 
-    Built as M.H(I), the image of the canonical variety under a unitary frame M of the
-    form, M^dagger C M = I, found and certified by `_unitary_frame`, which has none
-    exactly on a singular form.  This is exact: for x = My, x^dagger C x =
-    y^dagger M^dagger C M y = y^dagger y, and M is nonsingular, so x lies on H(C)
-    exactly when y lies on H(I).  The work is one column-table sum per point of the
-    variety, O(q^(2n-1)), not one evaluation per point of PG(n, q^2).
+    Read off the packed value rows by `_zero_set`: one lane-wise sum of the rows of
+    the form's nonzero digits and one zero test per value digit, O(q^(2n)) byte
+    operations in C and no Python step per point.  The form is nonsingular exactly
+    when the set has the |H(n, q^2)| points of a rank n + 1 form.
     """
-    M = _unitary_frame(form.field, form._enc_matrix)
-    if M is None:
+    n, field = form.n, form.field
+    V = _zero_set(n, field, form._enc_matrix)
+    if len(V) != _cone_sizes(n, field.q)[-1]:
         raise ValueError("form is singular")
-    return _image_enc(M, _canonical_variety(form.n, form.field))
+    return V
 
 
 @cache
@@ -110,51 +115,117 @@ def _canonical_variety(n: int, field: Field) -> PointSet:
     return PointSet(n, field, ids)
 
 
-def _unitary_frame(field: Field, C) -> tuple[tuple[int, ...], ...] | None:
-    """Rows of encodings of M with M^dagger C M = I for C (rows of encodings); None iff C is singular.
+@cache
+def _cone_sizes(n: int, q: int) -> tuple[int, ...]:
+    """|V(C)| for a Hermitian form C of rank r = 0, ..., n + 1 on PG(n, q^2), indexed by r.
 
-    Hermitian Gram-Schmidt with h(u, w) = conj(u)^T C w on the columns of M, starting
-    from the standard basis.  Each step takes the first remaining vector v with
-    h(v, v) = d != 0 (when all are isotropic, first replaces basis[0] by basis[0] + lam*basis[j]
-    for the first (j, lam) with h(w, w) = Tr(lam*h(basis[0], basis[j])) != 0, which exists on
-    a nonsingular C, as some h(basis[0], basis[j]) != 0 and the trace is onto GF(q)),
-    scales v by s = g^(-log(d)/(q+1)) so that h(v, v) = N(s)*d = 1, and projects
-    b -> b - h(v, b)*v off every remaining vector.  d lies in GF(q)*, the (q+1)-th
-    powers of GF(q^2)*, so q+1 divides log(d).  M^dagger C M = I, whence
-    det(C)*N(det M) = 1, is recomputed from M before M is returned; AssertionError if not.
+    V(C) is a cone with an (n - r)-dimensional vertex over a nonsingular H(r - 1, q^2),
+    which has h(m) = (q^(m+1) + (-1)^m)(q^m - (-1)^m)/(q^2 - 1) points for m = r - 1 >= 0:
+    the vertex's points plus Q^(n-r+1) points over each point of the base, Q = q^2.
     """
-    f, n1 = field, len(C)
-    add, mul, neg, log, exp = f.add_enc, f.mul_enc, f.neg_enc, f._log, f._exp
+    Q = q * q
 
-    # each basis vector b carries C b in its last n+1 slots; every step below is linear in b
-    def h(u, w):
-        return f.conj_dot_enc(u[:n1], w[n1:])
+    def h(m):
+        s = -1 if m % 2 else 1
+        return (q ** (m + 1) + s) * (q**m - s) // (Q - 1)
 
-    def axpy(a, x, y):  # a*x + y
-        return [add(mul(a, xi), yi) for xi, yi in zip(x, y)]
+    vertex = [Q ** (n - r + 1) for r in range(n + 2)]  # Q^(dimension of the vertex + 1)
+    sizes = tuple((v - 1) // (Q - 1) + (v * h(r - 1) if r else 0) for r, v in enumerate(vertex))
+    assert len(set(sizes)) == n + 2, "two ranks share a cone size"
+    return sizes
 
-    basis = [[int(i == j) for i in range(n1)] + [row[j] for row in C] for j in range(n1)]
-    cols = []
-    while basis:
-        k = next((k for k, v in enumerate(basis) if h(v, v)), None)
-        if k is None:  # every remaining vector is isotropic, e.g. C has a zero diagonal
-            candidates = (axpy(lam, b, basis[0]) for b in basis[1:] for lam in range(1, f.size))
-            w = next((w for w in candidates if h(w, w)), None)
-            if w is None:
-                return None
-            basis[0], k = w, 0
-        v = basis.pop(k)
-        m = log[h(v, v)]
-        if m % (f.q + 1):
-            raise AssertionError("h(v, v) escaped GF(q)")
-        v = [mul(exp[-m // (f.q + 1) % (f.size - 1)], x) for x in v]
-        basis = [axpy(neg(h(v, b)), v, b) for b in basis]
-        cols.append(v[:n1])
-    for j, v in enumerate(cols):  # column j of M^dagger C M is M^dagger (C v)
-        Cv = f.mat_vec_enc(C, v)
-        if [f.conj_dot_enc(u, Cv) for u in cols] != [int(i == j) for i in range(n1)]:
-            raise AssertionError("unitary frame certificate M^dagger C M = I failed")
-    return tuple(zip(*cols))
+
+@cache
+def _value_rows(n: int, field: Field) -> tuple[int, bytes, bytes, tuple]:
+    """The packed value rows of PG(n, q^2): (lane bytes, mod-p table, zero table, rows).
+
+    For i <= j and each GF(p)-digit d, B_ijd has X^d (the element encoded p^d) at
+    (i, j) and conj(X^d) at (j, i); a conjugate-symmetric C is the sum of c * B_ijd
+    over the digits c of its entries C[i][j], i <= j, so x^dagger C x is the same
+    sum of the values x^dagger B_ijd x: X^d N(x_i) for i = j, Tr(X^d conj(x_i) x_j)
+    for i < j.  Each row is (i, j, p^d, one packed int per checked value digit): lane
+    k holds that digit of the value at point k.  Only t of the 2t value digits are
+    checked, ones that determine an element of GF(q), where the value of a Hermitian
+    form lies; rows that vanish on all of them are left out.  The rows are built by
+    table lookups on the discrete logs of the coordinate columns: the log of a
+    product is a sum, and 2(q^2 - 1) stands for the log of 0, so any sum with a zero
+    coordinate lands in the zero tail of the value tables.
+
+    Lanes are one byte when p(p - 1) <= 255: a lane reduced mod p plus one term
+    c * digit <= (p - 1)^2 then fits.  Larger p take four-byte lanes, which hold
+    the whole sum with no reduction.
+    """
+    p, q, Q1 = field.p, field.q, field.size - 1
+    log, conj = field._log, field._conj
+    basis = [field._enc_to_poly(g) for g in _subfield_gfp_basis(field)]
+    checked = []
+    for e in range(field.degree):  # independent columns of the digits of GF(q)'s basis
+        if not nullspace_mod_p([[g[k] for k in (*checked, e)] for g in basis], p):
+            checked.append(e)
+    assert len(checked) == field.t, "GF(q) is t-dimensional over GF(p)"
+    powers = field._exp * 2
+    zero_tail = [0] * (2 * Q1 + 1)
+    # s -> digit e of g^s (diagonal) and of Tr(g^s) = g^s + g^(qs) (off the diagonal), s < 4 Q1 + 1
+    norm_digits, trace_digits = (
+        [[v // p**e % p for v in values] + zero_tail for e in checked]
+        for values in (powers, [field.add_enc(x, conj[x]) for x in powers])
+    )
+    logs = [2 * Q1, *log[1:]]
+    cols = [list(map(logs.__getitem__, col)) for col in zip(*_space(n, field).points)]
+    lane, order = (1 if p * (p - 1) <= 255 else 4), sys.byteorder
+    rows = []
+    for i, j in itertools.combinations_with_replacement(range(n + 1), 2):
+        for d in range(field.degree):
+            ld = log[p**d]
+            if i == j:  # log of X^d x_i^(q+1)
+                shift = [(ld + (q + 1) * lx) % Q1 for lx in range(Q1)] + [2 * Q1] * (Q1 + 1)
+                s, digits = list(map(shift.__getitem__, cols[i])), norm_digits
+            else:  # log of X^d conj(x_i) x_j
+                shift = [(ld + q * lx) % Q1 for lx in range(Q1)] + [2 * Q1] * (Q1 + 1)
+                s, digits = list(map(operator.add, map(shift.__getitem__, cols[i]), cols[j])), trace_digits
+            packed = []
+            for table in digits:
+                lanes = bytearray(lane * len(s))  # a digit < p <= 251 is the low byte of its lane
+                lanes[(0 if order == "little" else lane - 1) :: lane] = bytes(map(table.__getitem__, s))
+                packed.append(int.from_bytes(lanes, order))
+            if any(packed):
+                rows.append((i, j, p**d, tuple(packed)))
+    assert len(rows) * (p - 1) ** 2 < 1 << 32, "four-byte lanes could overflow"
+    return lane, bytes(x % p for x in range(256)), bytes(x % p == 0 for x in range(256)), tuple(rows)
+
+
+def _zero_set(n: int, field: Field, C) -> PointSet:
+    """V(C) for a conjugate-symmetric C (rows of encodings), read off `_value_rows`.
+
+    Per checked value digit, the lanes sum c * row over the nonzero digits c of C's
+    entries on and above the diagonal; a one-byte lane is reduced mod p before it
+    could pass 255.  A point is on V(C) when each sum is 0 mod p: one
+    `bytes.translate` per value digit marks those lanes, the marks are ANDed and the
+    members read with `itertools.compress`.  AssertionError unless the size is that
+    of a form of some rank, `_cone_sizes`.
+    """
+    lane, mod, zero, rows = _value_rows(n, field)
+    p, count, order = field.p, _space(n, field).count, sys.byteorder
+    top = (1 << 8 * lane) - 1
+    terms = [(c, packed) for i, j, pd, packed in rows if (c := C[i][j] // pd % p)]
+    keep = (1 << 8 * count) - 1
+    for e in range(field.t):
+        acc = bound = 0
+        for c, packed in terms:
+            if bound + c * (p - 1) > top:  # one-byte lanes only: four-byte ones hold the whole sum
+                acc, bound = int.from_bytes(acc.to_bytes(count, order).translate(mod), order), p - 1
+            acc += c * packed[e]
+            bound += c * (p - 1)
+        lanes = acc.to_bytes(lane * count, order)
+        if lane == 1:
+            marks = lanes.translate(zero)
+        else:
+            marks = bytes(map(operator.not_, map(p.__rmod__, memoryview(lanes).cast("I"))))
+        keep &= int.from_bytes(marks, order)
+    members = tuple(itertools.compress(range(count), keep.to_bytes(count, order)))
+    if len(members) not in _cone_sizes(n, field.q):
+        raise AssertionError(f"zero set of {len(members)} points is no Hermitian cone of PG({n}, {field.size})")
+    return PointSet(n, field, members)
 
 
 def _random_form_candidates(n: int, field: Field, rng: random.Random):
@@ -170,12 +241,16 @@ def _random_form_candidates(n: int, field: Field, rng: random.Random):
         yield m
 
 
-def _draw_form(n: int, field: Field, seed: int) -> tuple[list[list[int]], tuple[tuple[int, ...], ...], int]:
-    """Seeded rejection sampling: (rows, unitary frame, how many singular candidates preceded it)."""
+def _draw_form(n: int, field: Field, seed: int) -> tuple[list[list[int]], PointSet, int]:
+    """Seeded rejection sampling: (rows, variety, how many singular candidates preceded it).
+
+    A candidate is singular exactly when its zero set is not the size of a rank n + 1 cone.
+    """
+    full = _cone_sizes(n, field.q)[-1]
     for rejected, m in enumerate(_random_form_candidates(n, field, random.Random(seed))):
-        M = _unitary_frame(field, m)
-        if M is not None:
-            return m, M, rejected
+        V = _zero_set(n, field, m)
+        if len(V) == full:
+            return m, V, rejected
 
 
 def random_hermitian_form(n: int, field: Field, seed: int) -> HermitianForm:
@@ -307,8 +382,15 @@ def _sections(S: PointSet, r: int):
     return ((m & smask).bit_count() for m in _space(S.n, S.field).subspace_masks(r))
 
 
+@lru_cache(maxsize=1)
 def _line_sections(S: PointSet) -> tuple[UnitalCheck, list[int]]:
-    """The unital check of a plane set, with the line sections it was read from."""
+    """The unital check of a plane set, with the line sections it was read from (read-only).
+
+    The last set's pass is kept until `blocks_of` uses it, so `is_unital_embedded`
+    then `blocks_of` on one set (`verify-unital` does both) read the lines once, and
+    no set's sections outlive its blocks.  A list, not a tuple: tuples built from the
+    generator raised geometry-q789 peak RSS by up to 0.16 MiB in single worker runs.
+    """
     if S.n != 2:
         raise ValueError("unital check lives in a projective plane (n = 2)")
     q = S.field.q
@@ -340,6 +422,7 @@ def blocks_of(S: PointSet) -> tuple[tuple[int, ...], ...]:
     overflows or ends short is an AssertionError.
     """
     check, counts = _line_sections(S)
+    _line_sections.cache_clear()  # the pass is used up
     if not check.ok:
         raise ValueError(f"not a unital: profile {check.profile}, size {check.size}")
     q = S.field.q
@@ -391,17 +474,24 @@ def _check_design(points, blocks, k: int, b: int) -> None:
     most b*C(k, 2) = C(v, 2) pairs in all, so each pair is covered exactly once.
     Otherwise a block-by-block scan finds the fault: seen[i] has a bit for every
     point that already shares a block with point i, and the first pair covered
-    twice is named.
+    twice is named.  A block entry outside `points` is named too.
     """
     if len(blocks) != b:
         raise AssertionError("secant count off")
     v = len(points)
     pos = {x: i for i, x in enumerate(points)}
     full = (1 << v) - 1
+
+    def positions(blk):
+        try:
+            return [pos[x] for x in blk]
+        except KeyError as e:
+            raise AssertionError(f"block point {e.args[0]} is not a point of the design") from None
+
     if b * k * (k - 1) == v * (v - 1) and all(len(blk) == k for blk in blocks):
         union = [0] * v
         for blk in blocks:
-            at = [pos[x] for x in blk]
+            at = positions(blk)
             m = _mask_of(at)
             for i in at:
                 union[i] |= m
@@ -411,7 +501,7 @@ def _check_design(points, blocks, k: int, b: int) -> None:
     for blk in blocks:
         if len(blk) != k:
             raise AssertionError("block size off")
-        at = [pos[x] for x in blk]
+        at = positions(blk)
         m = _mask_of(at)
         for i in at:
             twice = seen[i] & (m ^ (1 << i))
@@ -513,7 +603,7 @@ def fit_hermitian_form(S: PointSet) -> HermitianForm | None:
         if not any(combo):
             continue
         m = matrix([sum(c * vec[k] for c, vec in zip(combo, null)) % p for k in range(u)])
-        if _unitary_frame(field, m) is not None:
+        if det_enc(field, m):
             if any(value(m, x) for x in pts):
                 raise AssertionError("fitted form does not vanish on the point set")
             return HermitianForm._of(field, m)

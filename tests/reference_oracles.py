@@ -7,11 +7,17 @@ compute something that `src/unitals` computes a faster way.
 import functools
 import itertools
 
-from unitals.finite_field import _is_irreducible, frobenius
+from unitals.finite_field import Field, _is_irreducible, frobenius
 from unitals.galois_ring import GaloisRing, GaloisRingElem
 from unitals.linalg import nullspace_mod_p
-from unitals.proj_geom import PointSet, _mask_of, _space, enum_points
-from unitals.varieties import _FIT_ENUM_LIMIT, HermitianForm, _line_sections, _subfield_gfp_basis
+from unitals.proj_geom import PointSet, _image_enc, _mask_of, _space, enum_points
+from unitals.varieties import (
+    _FIT_ENUM_LIMIT,
+    HermitianForm,
+    _canonical_variety,
+    _line_sections,
+    _subfield_gfp_basis,
+)
 
 _TEICH_ENUM_LIMIT = 1 << 16
 
@@ -52,6 +58,80 @@ def hermitian_variety_by_evaluation(form) -> PointSet:
         if not mat_mul(conj_row, mat_mul(form.matrix, tuple((c,) for c in x)))[0][0]:
             members.append(i)
     return PointSet(form.n, f, tuple(members))
+
+
+def rank_enc(field: Field, M) -> int:
+    """The rank of a matrix of encodings over the field, by Gaussian elimination."""
+    rows = [list(r) for r in M]
+    rank = 0
+    for col in range(len(rows[0])):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv_enc(rows[rank][col])
+        for r in range(rank + 1, len(rows)):
+            f = field.neg_enc(field.mul_enc(rows[r][col], inv))
+            rows[r] = [field.add_enc(a, field.mul_enc(f, b)) for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def hermitian_variety_by_frame(n: int, field, C) -> PointSet | None:
+    """V(C) as the image M.H(I) under a unitary frame M of C (rows of encodings); None iff C is singular.
+
+    Exact because x = My gives x^dagger C x = y^dagger M^dagger C M y = y^dagger y,
+    and M is nonsingular.
+    """
+    M = unitary_frame(field, C)
+    return None if M is None else _image_enc(M, _canonical_variety(n, field))
+
+
+def unitary_frame(field: Field, C) -> tuple[tuple[int, ...], ...] | None:
+    """Rows of encodings of M with M^dagger C M = I for C (rows of encodings); None iff C is singular.
+
+    Hermitian Gram-Schmidt with h(u, w) = conj(u)^T C w on the columns of M, starting
+    from the standard basis.  Each step takes the first remaining vector v with
+    h(v, v) = d != 0 (when all are isotropic, first replaces basis[0] by basis[0] + lam*basis[j]
+    for the first (j, lam) with h(w, w) = Tr(lam*h(basis[0], basis[j])) != 0, which exists on
+    a nonsingular C, as some h(basis[0], basis[j]) != 0 and the trace is onto GF(q)),
+    scales v by s = g^(-log(d)/(q+1)) so that h(v, v) = N(s)*d = 1, and projects
+    b -> b - h(v, b)*v off every remaining vector.  d lies in GF(q)*, the (q+1)-th
+    powers of GF(q^2)*, so q+1 divides log(d).  M^dagger C M = I, whence
+    det(C)*N(det M) = 1, is recomputed from M before M is returned; AssertionError if not.
+    """
+    f, n1 = field, len(C)
+    add, mul, neg, log, exp = f.add_enc, f.mul_enc, f.neg_enc, f._log, f._exp
+
+    # each basis vector b carries C b in its last n+1 slots; every step below is linear in b
+    def h(u, w):
+        return f.conj_dot_enc(u[:n1], w[n1:])
+
+    def axpy(a, x, y):  # a*x + y
+        return [add(mul(a, xi), yi) for xi, yi in zip(x, y)]
+
+    basis = [[int(i == j) for i in range(n1)] + [row[j] for row in C] for j in range(n1)]
+    cols = []
+    while basis:
+        k = next((k for k, v in enumerate(basis) if h(v, v)), None)
+        if k is None:  # every remaining vector is isotropic, e.g. C has a zero diagonal
+            candidates = (axpy(lam, b, basis[0]) for b in basis[1:] for lam in range(1, f.size))
+            w = next((w for w in candidates if h(w, w)), None)
+            if w is None:
+                return None
+            basis[0], k = w, 0
+        v = basis.pop(k)
+        m = log[h(v, v)]
+        if m % (f.q + 1):
+            raise AssertionError("h(v, v) escaped GF(q)")
+        v = [mul(exp[-m // (f.q + 1) % (f.size - 1)], x) for x in v]
+        basis = [axpy(neg(h(v, b)), v, b) for b in basis]
+        cols.append(v[:n1])
+    for j, v in enumerate(cols):  # column j of M^dagger C M is M^dagger (C v)
+        Cv = f.mat_vec_enc(C, v)
+        if [f.conj_dot_enc(u, Cv) for u in cols] != [int(i == j) for i in range(n1)]:
+            raise AssertionError("unitary frame certificate M^dagger C M = I failed")
+    return tuple(zip(*cols))
 
 
 def herm_char_value_uncached(ring: GaloisRing, point, ell: int) -> GaloisRingElem:

@@ -280,11 +280,18 @@ def _drop_bm_point(monkeypatch):
     monkeypatch.setattr(census, "bm_unital", lambda pr: PointSet(2, pr.field, build(pr).members[1:]))
 
 
-def _flip_projection(monkeypatch):
-    from unitals.finite_field import field_for_q
+def _corrupt_value_row(monkeypatch):
+    from unitals import varieties
 
-    # Gram-Schmidt then adds h(v, b)*v where it should subtract it
-    monkeypatch.setattr(field_for_q(3), "neg_enc", lambda a: a)
+    build = varieties._value_rows
+
+    # one more in lane 0 (the point (0, 0, 1)) of the first row, the digit form X^0 N(x_0)
+    def corrupt(n, field):
+        lane, mod, zero, rows = build(n, field)
+        i, j, pd, packed = rows[0]
+        return lane, mod, zero, ((i, j, pd, tuple(x + 1 for x in packed)), *rows[1:])
+
+    monkeypatch.setattr(varieties, "_value_rows", corrupt)
 
 
 def _misfit_form(monkeypatch):
@@ -307,9 +314,9 @@ INTERNAL_ERRORS = {
         "AssertionError: source produced a non-unital ({'kind': 'bm', 'a': 0, 'b': 3}): "
         "profile ((0, 1), (1, 27), (3, 9), (4, 54))",
     ),
-    "unitary frame": (
-        _flip_projection, ["make-unital", "--q", "3", "--kind", "hermitian", "--seed", "0"],
-        "AssertionError: unitary frame certificate M^dagger C M = I failed",
+    "zero set": (
+        _corrupt_value_row, ["census", "--kind", "kestenband", "--q", "3", "--samples", "3"],
+        "AssertionError: zero set of 38 points is no Hermitian cone of PG(2, 9)",
     ),
     "intersection routes": (
         _break_mask, ["census", "--kind", "kestenband", "--q", "2", "--samples", "3"],
@@ -396,6 +403,37 @@ def test_census_cli_other_kinds(capsys):
     assert code == 0
     code, _, err = run(capsys, "census", "--kind", "kestenband", "--q", "7")
     assert code == 2
+
+
+# sha256 of `make-unital --q Q --kind hermitian --seed S` stdout, computed while each
+# variety was still the image of H(I) under a Gram-Schmidt unitary frame of the drawn form.
+MAKE_UNITAL_HERMITIAN_DIGESTS = {
+    (3, 1): "8853ae88f94c6e851764bae032bd6177a4ede02ae42c084f52535ca7ac933ac9",
+    (3, 5): "71942d259ca0c871b9e19580634e5292cf5e1730aa3f05635de3e6400be67607",
+    (3, 1729): "4cd07ab6a2f2d34c92895a06e2a09f57c607361bbc9d7ee86c211883c289f678",
+    (4, 1): "57961f068b5677ec85e1f2fe9314669cb7175a58061f994325567513fe4701cc",
+    (4, 5): "367c83815bdacb8a22dfb10e406620e9723bfcc0588141b006a333ba46323c4c",
+    (4, 1729): "361835c9ae0e5b1c002bc816010d0dc762f5275d69a68f8bfe8e88cb2acf1838",
+    (5, 1): "249d3d0d0ae6a3be5b2ea224c926cf7bac8ba298bcdff5dc3c86d27d518c4e93",
+    (5, 5): "6f3589c98c077391b486be775240b78bcc773aa353a4a12631569b742d513b18",
+    (5, 1729): "82bae1bf285a006286ec7ddbc5468f23159ddb005f1b0458aa601584854d799e",
+    (7, 1): "c38b2da123d51b974c56ea1c2a3638168d687fbe80e14dea95191c180e8669e3",
+    (7, 5): "836e3d9d91e983fa22ea344e133710b06b49529acae52b9825dd9ef7626bc2e3",
+    (7, 1729): "a9a0ec9b68aa46c9dc127830608ec124049d0e8abda3b7238640133e941730c3",
+    (8, 1): "e3ff9f791848f1f28c5d36f06bdfbcd0720377793b2934811440fa2492be1967",
+    (8, 5): "4cf0216bc128b2cd457932fe395e1bcfa31141f45999e0c85d7fc87eab9cb621",
+    (8, 1729): "9b0377df34489603e5990d9b38c476c1b5549b7a56d5ecf74f84d5ffc72e31e6",
+    (9, 1): "5cf07d222dd35b658f575bede7c1961f0b6deb717d9f0072c70facac06d49e41",
+    (9, 5): "aa8a8c85037a9217a5507fd1a6e7f066bedc6171943edce8835ea3e4ed6b8e0a",
+    (9, 1729): "872a59ca47ca5832182c4994204f802681594e654a747a79dfaa8a851b6918b0",
+}
+
+
+@pytest.mark.parametrize("q,seed", sorted(MAKE_UNITAL_HERMITIAN_DIGESTS))
+def test_make_unital_hermitian_bytes(capsys, q, seed):
+    code, out, _ = run(capsys, "make-unital", "--q", str(q), "--kind", "hermitian", "--seed", str(seed))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == MAKE_UNITAL_HERMITIAN_DIGESTS[(q, seed)]
 
 
 # sha256 of `census --kind general --q Q` at the default seed, computed with one

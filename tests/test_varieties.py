@@ -11,12 +11,15 @@ from unitals.varieties import (
     BMParams,
     HermitianForm,
     _bm_point_ids,
+    _canonical_variety,
     _check_design,
+    _cone_sizes,
     _draw_form,
+    _line_sections,
     _lines_through,
     _random_form_candidates,
     _subfield_gfp_basis,
-    _unitary_frame,
+    _zero_set,
     all_valid_bm_params,
     blocks_of,
     bm_affine_value,
@@ -34,8 +37,11 @@ from reference_oracles import (
     check_design_by_scan,
     fit_hermitian_form_full_system,
     hermitian_variety_by_evaluation,
+    hermitian_variety_by_frame,
     irreducible_moduli,
     mat_mul,
+    rank_enc,
+    unitary_frame,
 )
 
 
@@ -54,6 +60,10 @@ def test_hermitian_form_validation():
         HermitianForm(((f.one, f.zero), (f.zero,)))
     with pytest.raises(ValueError, match="^matrix must be square, with at least one row$"):
         HermitianForm(())
+    # rows that are not sequences: ints or None, in place of rows or of the whole matrix
+    for rows in [(1, 2), (None,), (None, None), ((f.one, f.zero), 1), 5, None]:
+        with pytest.raises(ValueError, match="^matrix must be square, with at least one row$"):
+            HermitianForm(rows)
     # an entry from another field, on the diagonal (where conj(x) == x) and off it
     h = make_field(3, 1)
     with pytest.raises(ValueError, match="mixed-field"):
@@ -168,11 +178,12 @@ def test_random_hermitian_form_deterministic():
     # rejection keeps only nonsingular candidates: the draw is the first one after `rejected` singular ones
     total = 0
     for seed in range(20):
-        rows, frame, rejected = _draw_form(2, f, seed)
+        rows, V, rejected = _draw_form(2, f, seed)
         cands = list(itertools.islice(_random_form_candidates(2, f, random.Random(seed)), rejected + 1))
         assert all(not det_enc(f, cand) for cand in cands[:-1])
         assert det_enc(f, rows) and rows == cands[-1]
         assert HermitianForm._of(f, rows) == random_hermitian_form(2, f, seed)
+        assert V == hermitian_variety(HermitianForm._of(f, rows))
         total += rejected
     assert total > 0  # some seed did draw a singular candidate first
 
@@ -192,7 +203,7 @@ def _rank_one_forms(n, f, rng, count):
 
 @pytest.mark.parametrize("n,p,t", FRAME_CASES)
 def test_unitary_frame_exists_exactly_on_nonsingular_forms(n, p, t):
-    """_unitary_frame(f, C) is None iff det(C) = 0; a frame it returns satisfies M^dagger C M = I."""
+    """unitary_frame(f, C) is None iff det(C) = 0; a frame it returns satisfies M^dagger C M = I."""
     f = make_field(p, t)
     rng = random.Random(1000 * n + 10 * p + t)
     forms = list(itertools.islice(_random_form_candidates(n, f, rng), 40))
@@ -201,7 +212,7 @@ def test_unitary_frame_exists_exactly_on_nonsingular_forms(n, p, t):
     identity = tuple(tuple(f.elem(int(i == j)) for j in range(n + 1)) for i in range(n + 1))
     outcomes = set()
     for C in forms:
-        frame = _unitary_frame(f, C)
+        frame = unitary_frame(f, C)
         outcomes.add(frame is None)
         assert (frame is None) == (det_enc(f, C) == 0)
         if frame is not None:
@@ -209,6 +220,39 @@ def test_unitary_frame_exists_exactly_on_nonsingular_forms(n, p, t):
             M_dagger = tuple(zip(*[[frobenius(x, t) for x in row] for row in M]))
             assert mat_mul(M_dagger, mat_mul(tuple(tuple(map(f.elem, row)) for row in C), M)) == identity
     assert outcomes == {True, False}  # both answers were exercised
+
+
+# (n, q) for the zero-set kernel: q = 7 takes a mod-p reduction within a sum, q = 4, 8, 9 have t > 1
+ZERO_SET_CASES = [(1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2), (3, 3)]
+
+
+@pytest.mark.parametrize("n,q", ZERO_SET_CASES)
+def test_zero_set_equals_evaluation_and_the_frame_route(n, q):
+    """_zero_set(C) is the evaluated variety, of the size of C's rank, and M.H(I) exactly when C is nonsingular."""
+    f = field_for_q(q)
+    rng = random.Random(100 * n + q)
+    # the reference evaluates every point on FieldElems, so the larger spaces take fewer forms
+    small = _space(n, f).count < 700
+    forms = list(itertools.islice(_random_form_candidates(n, f, rng), 30 if small else 5))
+    forms += [encs for m, encs in ZERO_DIAGONAL if m == n]
+    forms += _rank_one_forms(n, f, rng, 4 if small else 2)
+    forms += [[[0] * (n + 1) for _ in range(n + 1)]]
+    # the largest digits everywhere: at q = 7 its lane sums pass 255 unless reduced mod p on the way
+    top = [[f.subfield_encs[-1] if i == j else f.size - 1 for j in range(n + 1)] for i in range(n + 1)]
+    forms += [[[x if i <= j else f._conj[top[j][i]] for j, x in enumerate(row)] for i, row in enumerate(top)]]
+    sizes = _cone_sizes(n, q)
+    full = len(hermitian_variety_by_evaluation(HermitianForm.identity(n, f)))
+    ranks = set()
+    for C in forms:
+        V = _zero_set(n, f, C)
+        assert V == hermitian_variety_by_evaluation(HermitianForm._of(f, C))
+        ranks.add(rank := rank_enc(f, C))
+        assert len(V) == sizes[rank]
+        assert (len(V) == full) == bool(det_enc(f, C))
+        assert hermitian_variety_by_frame(n, f, C) == (V if det_enc(f, C) else None)
+    assert {0, 1, n + 1} <= ranks
+    identity = [[int(i == j) for j in range(n + 1)] for i in range(n + 1)]
+    assert _zero_set(n, f, identity) == _canonical_variety(n, f) == hermitian_variety(HermitianForm.identity(n, f))
 
 
 def test_evaluate_refuses_coordinates_that_are_not_a_point():
@@ -275,6 +319,8 @@ def test_design_check_rejects_hand_made_block_lists():
         _check_design(points, AG23[:-1], 3, 12)
     with pytest.raises(AssertionError, match="block size off"):
         _check_design(points, AG23[:-1] + [(2, 4)], 3, 12)
+    with pytest.raises(AssertionError, match="^block point 5 is not a point of the design$"):
+        _check_design((0, 1, 2), [(0, 1, 5)], 3, 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -306,6 +352,26 @@ def test_blocks_of_equals_the_line_scan(sets, q):
         unitals = [bm_unital(pr) for pr in (params if sets == "every B-M" else random.Random(q).sample(params, 3))]
     for U in unitals:
         assert blocks_of(U) == blocks_of_by_line_scan(U)
+
+
+def test_blocks_of_after_the_unital_check_reads_the_lines_once(monkeypatch):
+    """is_unital_embedded then blocks_of on one set make one line pass; another set makes its own."""
+    from unitals import varieties
+
+    passes = []
+    sections = varieties._sections
+    monkeypatch.setattr(varieties, "_sections", lambda S, r: passes.append(len(S)) or sections(S, r))
+    _line_sections.cache_clear()
+    f = field_for_q(3)
+    U, H = bm_unital(all_valid_bm_params(f)[-1]), hermitian_variety(HermitianForm.identity(2, f))
+    assert is_unital_embedded(U)
+    blocks = blocks_of(U)
+    assert passes == [28]
+    assert blocks == blocks_of_by_line_scan(U)  # blocks_of used the pass up: the reference reads the lines again
+    assert passes == [28, 28]
+    assert is_unital_embedded(H) and is_unital_embedded(U) and is_unital_embedded(U)  # one set is held at a time
+    assert passes == [28, 28, 28, 28]
+    _line_sections.cache_clear()
 
 
 def _design_outcome(check, points, blocks, k, b):
