@@ -37,7 +37,7 @@ from .census import (
 from .finite_field import field_for_q
 from .galois_ring import herm_char_value, make_ring
 from .padic_invariants import _snf_certified, enum_basis_monomials, invariant_exponent, type_of
-from .proj_geom import PointSet, _space, enum_points, incidence_matrix, subspace_member_indices
+from .proj_geom import PointSet, _space, enum_points, incidence_matrix, subspace_count, subspace_member_indices
 from .varieties import (
     BMParams,
     HermitianForm,
@@ -229,6 +229,8 @@ def cmd_invariants(args) -> int:
         raise ValueError(f"invariants needs --n >= 2, not {n}")
     if not 1 < r <= n:
         raise ValueError(f"--r must lie in [2, {n}]")
+    if args.verify_snf:
+        subspace_count(n, r, field.size)  # refuse an oversized incidence matrix before the monomials
     p, t = field.p, field.t
     rows = []
     for m in enum_basis_monomials(n, field):

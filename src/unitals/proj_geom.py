@@ -15,10 +15,16 @@ read off the RREF basis B (pivots p_0 < ... < p_{r-1}) without normalizing:
 the points are B[k] + span(B[k+1:]) for k = r-1, ..., 0, each already
 normalized because B[k] has its leading 1 at p_k and every later row is 0 up
 to and at p_k.  So a point's index is the offset of p_k plus the base-q^2
-value of its coordinates after p_k, and the coordinates of the whole span are
-built column by column from rotated exp-table rows (the multiples c*x) and one
-add-table row per entry (XOR when p = 2).  Incidence rows are bit-packed into
-Python integers; popcounts of mask ANDs are the fast intersection path.
+value of its coordinates after p_k.  The span is walked with the coefficients
+of B[k+1:] in lexicographic order, and its coordinate at p_{k+1} is the most
+significant coefficient itself, so the indices come out ascending with no sort.
+The pivots' columns add the same part to every subspace of a pivot pattern,
+computed once per pattern; each free column adds an entry's share through one
+table row of c*x or of w*(x + c), for c = 0, ..., q^2 - 1.  Each table's entries
+are taken from one tuple of the point indices, so it holds one int object per
+point, not one per incidence.  A table whose subspaces times points would pass
+MAX_MASK_BITS is refused before it is built.  Incidence rows are bit-packed
+into Python integers; popcounts of mask ANDs are the fast intersection path.
 
 A collineation x -> Mx maps a set through column tables: for each column j,
 the vectors c*M[:, j] for every c in `Field.multiples_enc` order (0, g^0, ...),
@@ -32,11 +38,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
+from operator import add, itemgetter
 
 from .finite_field import Field, FieldElem, make_field
 from .linalg import mat_det
 
 MAX_POINTS = 1 << 20
+MAX_MASK_BITS = 1 << 31  # subspaces x points of one subspace table
 
 
 def point_count(n: int, Q: int) -> int:
@@ -49,6 +57,19 @@ def point_count(n: int, Q: int) -> int:
         if count > MAX_POINTS:
             raise ValueError(f"PG({n}, {Q}) has more than {MAX_POINTS} points; too large")
     return count
+
+
+def subspace_count(n: int, r: int, Q: int) -> int:
+    """The r-dim subspaces of PG(n, Q); ValueError for r outside [1, n] or a table over MAX_MASK_BITS."""
+    if not 1 <= r <= n:
+        raise ValueError(f"r = {r} must lie in [1, {n}]")
+    total, count = gaussian_binomial(n + 1, r, Q), point_count(n, Q)
+    if total * count > MAX_MASK_BITS:
+        raise ValueError(
+            f"{total} subspaces of dimension {r} times {count} points of PG({n}, {Q}) "
+            f"exceed {MAX_MASK_BITS} mask bits; too large"
+        )
+    return total
 
 
 def gaussian_binomial(m: int, r: int, Q: int) -> int:
@@ -107,61 +128,72 @@ class _Space:
             tail = tail * Q + x
         return self._offsets[j] + tail
 
+    def _rref(self, r: int):
+        """The RREF walk of the r-dim subspaces: per pivot pattern p_0 < ... < p_{r-1}, the free
+        entries (i, j) (j > p_i, no pivot) and their fills, in enumeration order."""
+        n1, Q = self.n + 1, self.field.size
+        subspace_count(self.n, r, Q)
+        for pivots in itertools.combinations(range(n1), r):
+            free = [(i, j) for i in range(r) for j in range(pivots[i] + 1, n1) if j not in pivots]
+            yield pivots, free, itertools.product(range(Q), repeat=len(free))
+
     def subspaces(self, r: int) -> tuple:
         """RREF bases of the r-dim subspaces as rows of encodings, in enumeration order."""
-        if not 1 <= r <= self.n:
-            raise ValueError(f"r = {r} must lie in [1, {self.n}]")
         n1 = self.n + 1
-        field = self.field
         out = []
-        for pivots in itertools.combinations(range(n1), r):
-            pivot_set = set(pivots)
-            free = [
-                (i, j)
-                for i in range(r)
-                for j in range(pivots[i] + 1, n1)
-                if j not in pivot_set
-            ]
+        for pivots, free, fills in self._rref(r):
             base = [[int(j == pj) for j in range(n1)] for pj in pivots]
-            for fill in itertools.product(range(field.size), repeat=len(free)):
+            for fill in fills:
                 rows = [list(row) for row in base]
                 for (i, j), v in zip(free, fill):
                     rows[i][j] = v
                 out.append(tuple(tuple(row) for row in rows))
-        assert len(out) == gaussian_binomial(n1, r, field.size)
+        assert len(out) == subspace_count(self.n, r, self.field.size)
         return tuple(out)
 
     # Two per-r caches live as long as the _Space, which _space keeps for the process: the
     # point indices (read by subspace_member_indices) and the masks made from them (read by
-    # incidence_matrix and every section count).  subspaces() keeps nothing,
-    # as only the first of these caches and enum_subspaces read its bases.
+    # incidence_matrix and every section count).  Every entry of the indices is the one int
+    # object of its point in that table, so they hold no int per incidence.  subspaces() keeps
+    # nothing, as only enum_subspaces reads its bases.
     @cache
     def subspace_point_indices(self, r: int) -> tuple[tuple[int, ...], ...]:
-        field, n1 = self.field, self.n + 1
-        add_row, multiples, offsets = field.add_row_enc, field.multiples_enc, self._offsets
-        weights = [field.size ** (self.n - j) for j in range(n1)]
-        all_ids = []
-        for basis in self.subspaces(r):
-            ids = []
-            # span[j]: coordinate j of each of the `size` vectors of span(basis[k+1:]), for
-            # j >= nxt, the pivot of basis[k+1]; every span coordinate before nxt is 0
-            span, nxt, size = {}, n1, 1
+        field, n1, Q = self.field, self.n + 1, self.field.size
+        add_row, mul, offsets = field.add_row_enc, field.mul_enc, self._offsets
+        weights = [Q ** (self.n - j) for j in range(n1)]
+        index, table, coords = tuple(range(self.count)), [], list(range(Q))
+        times, plus = {}, {}  # times[x]: c*x, plus[w, x]: w*(x + c), for c = 0, ..., Q-1
+        for pivots, free, fills in self._rref(r):
+            # Block k holds the points row k + span(rows k+1..), whose coordinate at p_{k+1} is
+            # the most significant coefficient; in lexicographic coefficient order the indices
+            # ascend.  lead: their indices from p_k's offset and the later pivots' columns (lex)
+            # alone; row k's entries before p_{k+1} shift the whole block, later ones add to the span.
+            blocks, lex = [], [0]
             for k in range(r - 1, -1, -1):
-                row = basis[k]
-                pk = row.index(1)
-                # the points row + span: coordinates pk+1 .. nxt-1 are those of row alone
-                part = [offsets[pk] + sum(row[j] * weights[j] for j in range(pk + 1, nxt))] * size
-                for j in range(nxt, n1):
-                    w = weights[j]
-                    part = [i + w * v for i, v in zip(part, add_row(row[j], span[j]))]
-                ids += part
-                if k:  # span(basis[k:]): vector m*Q + c is span vector m plus the c-th multiple of row
-                    for j in range(pk, n1):
-                        cx = multiples(row[j])
-                        span[j] = cx * size if j < nxt else [y for s in span[j] for y in add_row(s, cx)]
-                    nxt, size = pk, size * field.size
-            all_ids.append(tuple(sorted(ids)))
-        return tuple(all_ids)
+                nxt = pivots[k + 1] if k + 1 < r else n1
+                row = [(pos, j, weights[j]) for pos, (i, j) in enumerate(free) if i == k]
+                near, far = [(pos, w) for pos, j, w in row if j < nxt], [e for e in row if e[1] > nxt]
+                blocks.append(([offsets[pivots[k]] + x for x in lex], near, far, row if k else ()))
+                lex = [c * weights[pivots[k]] + x for c in range(Q) for x in lex]
+            for fill in fills:
+                span, ids = {}, []  # span[j]: coordinate j of span(rows k..), lexicographic
+                for lead, near, far, grow in blocks:  # grow: row k's entries, none in block 0
+                    fixed = sum(fill[pos] * w for pos, w in near)
+                    part = [x + fixed for x in lead] if fixed else lead
+                    for pos, j, w in far:
+                        key = w, fill[pos]
+                        wx = plus.get(key) or plus.setdefault(key, [w * y for y in add_row(key[1], coords)])
+                        part = list(map(add, part, map(wx.__getitem__, span[j])))
+                    ids += part
+                    for pos, j, _ in grow:
+                        x = fill[pos]
+                        cx = times.get(x) or times.setdefault(x, [mul(c, x) for c in coords])
+                        if j in span:
+                            span[j] = [y for c in cx for y in add_row(c, span[j])]
+                        else:
+                            span[j] = [c for c in cx for _ in lead] if len(lead) > 1 else cx
+                table.append(itemgetter(*ids)(index) if r > 1 else (index[ids[0]],))
+        return tuple(table)
 
     @cache
     def subspace_masks(self, r: int) -> tuple[int, ...]:
@@ -263,7 +295,9 @@ class PointSet:
         last = -1
         for i in self.members:
             if i <= last or i >= count:
-                raise ValueError("members must be strictly increasing indices")
+                if 0 <= i < count:
+                    raise ValueError("members must be strictly increasing indices")
+                raise ValueError(f"member {i} is not a point index of PG({self.n}, {self.field.size}) (0..{count - 1})")
             last = i
 
     @staticmethod

@@ -98,6 +98,17 @@ def test_enum_points_and_lines(capsys):
     assert json.loads(out)["count"] == 357
 
 
+def test_enum_points_as_subspaces_bytes(capsys):
+    """--r 1 lists each point of PG(2, 4) as a one-entry list, in RREF order (pinned before the
+    tables came out ascending on shared index objects)."""
+    code, out, _ = run(capsys, "enum", "--q", "2", "--what", "subspaces", "--r", "1")
+    assert code == 0
+    assert out == (
+        '{"count": 21, "items": [[5], [6], [7], [8], [9], [10], [11], [12], [13], [14], [15], [16], [17], '
+        '[18], [19], [20], [1], [2], [3], [4], [0]]}\n'
+    )
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
@@ -218,6 +229,24 @@ def test_verify_unital_malformed_input(tmp_path, capsys, case):
     assert "Traceback" not in err
 
 
+# members of a point set of PG(2, 4), which has 21 points, and the one error line they give
+BAD_MEMBERS = {
+    "past the last point": ([0, 99], "member 99 is not a point index of PG(2, 4) (0..20)"),
+    "negative": ([-3, 0], "member -3 is not a point index of PG(2, 4) (0..20)"),
+    "descending": ([4, 3], "members must be strictly increasing indices"),
+    "repeated": ([4, 4], "members must be strictly increasing indices"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MEMBERS))
+def test_verify_unital_names_the_bad_member(tmp_path, capsys, case):
+    """An index outside the plane is named with the valid range; order faults keep their own message."""
+    members, message = BAD_MEMBERS[case]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"n": 2, "p": 2, "t": 1, "members": members}))
+    assert run(capsys, "verify-unital", "--in", str(path)) == (2, "", f"error: {message}\n")
+
+
 HUGE_P = 1000000000000000003  # a prime; trial division up to its root never ends
 HUGE_INPUTS = {
     "verify-unital huge p": ["verify-unital", "--in", "{huge_json}"],
@@ -225,6 +254,10 @@ HUGE_INPUTS = {
     "enum huge n": ["enum", "--q", "2", "--n", "1000000000", "--what", "points"],
     "enum monomials huge n": ["enum", "--q", "2", "--n", "1000000000", "--what", "monomials"],
     "invariants huge n": ["invariants", "--q", "2", "--n", "1000000000", "--r", "2"],
+    # PG(9, 4) has 349,525 points, within MAX_POINTS, but 6.1e9 lines
+    "enum lines of PG(9, 4)": ["enum", "--q", "2", "--n", "9", "--what", "lines"],
+    "enum 5-dim subspaces of PG(9, 4)": ["enum", "--q", "2", "--n", "9", "--what", "subspaces", "--r", "5"],
+    "invariants snf of PG(9, 4)": ["invariants", "--q", "2", "--n", "9", "--r", "2", "--verify-snf"],
     "charfn-check huge ell q=2": ["charfn-check", "--q", "2", "--ell", "5000"],
     "charfn-check huge ell q=9": ["charfn-check", "--q", "9", "--ell", "100"],
 }

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,6 +11,7 @@ from unitals.finite_field import field_for_q, make_field
 from unitals.linalg import det_enc, mat_det
 from unitals.proj_geom import (
     PointSet,
+    _Space,
     _image_enc,
     _space,
     all_points_set,
@@ -121,6 +124,14 @@ SUBSPACE_DIGESTS = {
     (3, 3, 2): "513e2fbd9fcd66051b7755743a1a9e2136deccf4ac01ede8e7255bce0c06bf02",
     (3, 2, 3): "33054fb17d24c40d20dd35b36a4dd1a11b06c4836205acbd736dac682d8b53a3",
     (3, 3, 3): "8cee862c803320d5321947b84b6e023e0c4c6a5d0821d6a93633812b3cfd6d8f",
+    # frozen before the tables came out ascending on shared index objects: points as 1-tuples, the
+    # q = 7, 8, 9 line tables of the benchmark, and the lines and hyperplanes of PG(4, 4)
+    (2, 1, 2): "b01120064272dc5c329b96d881031fc29f8f007e442741f8137cc0e6697142ff",
+    (2, 2, 7): "72def41879dc8192b133d0c1dcf9cd2f3b08ca68ddfb6a4faa69158db0d09556",
+    (2, 2, 8): "80833d870502eb4765870b3fb9dd953a3da9b25570fcda3282ace79f882ff149",
+    (2, 2, 9): "593b1ef5506b56aad5f27e9a1ec43fade1f29e9d25338bc5167477c41ce7145d",
+    (4, 2, 2): "fd91f536e7b8593e5a820bd2280c58d0f9d5daf9183a71c97138869b1cfdbaab",
+    (4, 4, 2): "54c324ee3bb6d8bc7a512c54e1741f7ea6995ab815d04112200ffcd87f9a52ee",
 }
 
 
@@ -128,6 +139,30 @@ SUBSPACE_DIGESTS = {
 def test_subspace_member_indices_frozen(n, r, q):
     members = subspace_member_indices(n, r, field_for_q(q))
     assert hashlib.sha256(repr(members).encode()).hexdigest() == SUBSPACE_DIGESTS[n, r, q]
+
+
+def test_subspace_tables_share_one_int_per_point():
+    """In the line table of PG(2, 49), equal point indices are one int object, so it holds no int per
+    incidence.  (In the point table, r = 1, each index occurs once.)"""
+    members = subspace_member_indices(2, 2, field_for_q(7))
+    entries = [i for ids in members for i in ids]
+    assert len(entries) == 2451 * 50
+    assert len({id(i) for i in entries}) == len(set(entries)) == 2451
+
+
+def test_line_table_allocates_its_tuples_and_little_more():
+    """A fresh PG(2, 49) line table costs its 2,451 tuples of 50 entries, plus slack for the outer
+    tuple and one int per point; an int object per incidence (122,550 of them) would not fit."""
+    sp = _Space(2, field_for_q(7))  # not the cached _space, so no shared cache is filled here
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        lines = sp.subspace_point_indices(2)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(lines) == 2451
+    assert grown < len(lines) * sys.getsizeof(tuple(range(50))) + (1 << 18)
 
 
 # (n, r, p, t): lines and planes over fields with and without an addition table

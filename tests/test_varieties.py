@@ -522,6 +522,14 @@ def test_check_property_I(q):
         check_property_I(H, r=2, beta=-1)
 
 
+def test_check_property_I_refuses_an_oversized_line_table():
+    """PG(3, 25) has 16,276 points but 407,526 lines: their masks would pass MAX_MASK_BITS, so none is built."""
+    S = PointSet(3, field_for_q(5), (0,))
+    msg = r"^407526 subspaces of dimension 2 times 16276 points of PG\(3, 25\) exceed 2147483648 mask bits; too large$"
+    with pytest.raises(ValueError, match=msg):
+        check_property_I(S, r=2, beta=1)
+
+
 def test_fit_hermitian_form_recovers_the_identity():
     f = field_for_q(3)
     H = hermitian_variety(HermitianForm.identity(2, f))
