@@ -2,8 +2,8 @@
 
 `det_enc` eliminates on integer encodings; `mat_det` is its FieldElem façade.
 Matrix-vector products run on encodings too (`Field.mat_vec_enc`).
-`nullspace_mod_p` is the one GF(p) eliminator: it serves form fitting (one
-point's 2t digit rows against the k forms still in play) and the GF(p)-basis of GF(q).
+`nullspace_mod_p` is the one GF(p) eliminator: it picks the value digits that
+determine an element of GF(q), for the packed value rows of `varieties`.
 """
 
 from __future__ import annotations

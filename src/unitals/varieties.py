@@ -157,10 +157,10 @@ def _value_rows(n: int, field: Field) -> tuple[int, bytes, bytes, tuple]:
     """
     p, q, Q1 = field.p, field.q, field.size - 1
     log, conj = field._log, field._conj
-    basis = [field._enc_to_poly(g) for g in _subfield_gfp_basis(field)]
+    subfield = [field._enc_to_poly(g) for g in field.subfield_encs]
     checked = []
-    for e in range(field.degree):  # independent columns of the digits of GF(q)'s basis
-        if not nullspace_mod_p([[g[k] for k in (*checked, e)] for g in basis], p):
+    for e in range(field.degree):  # independent digit columns of the elements of GF(q)
+        if not nullspace_mod_p([[g[k] for k in (*checked, e)] for g in subfield], p):
             checked.append(e)
     assert len(checked) == field.t, "GF(q) is t-dimensional over GF(p)"
     powers = field._exp * 2
@@ -527,84 +527,55 @@ def check_property_I(S: PointSet, r: int, beta: int) -> bool:
 # recovering a Hermitian form from a point set
 
 
-def _subfield_gfp_basis(field: Field) -> list[int]:
-    """Encodings of a GF(p)-basis of GF(q) inside GF(q^2), greedy over ascending encodings.
-
-    A candidate joins when the digit columns of basis + [candidate] have no GF(p) nullspace.
-    """
-    basis: list[int] = []
-    for enc in field.subfield_encs[1:]:  # subfield_encs[0] is 0
-        if not nullspace_mod_p([*zip(*map(field._enc_to_poly, [*basis, enc]))], field.p):
-            basis.append(enc)
-            if len(basis) == field.t:
-                break
-    assert len(basis) == field.t
-    return basis
-
-
 def fit_hermitian_form(S: PointSet) -> HermitianForm | None:
     """A nonsingular Hermitian form vanishing on all of S, if one exists.
 
-    The unknowns are the GF(p)-coordinates of a conjugate-symmetric matrix: t
-    per diagonal entry, 2t per entry above it.  Walking the points of S on
-    encodings, the GF(p)-basis of the forms vanishing so far is cut down at
-    each point x to the nullspace of the 2t digits of their values at x (a
-    2t x k system); None as soon as no form is left.  The survivors are put in
-    the basis that the reduced echelon form of the full (|S| * 2t)-row system
-    gives, and the first nonsingular nonzero combination, in that order, is
-    certified to vanish on S (AssertionError if not) and returned; None if
-    all are singular.  ValueError on an empty set, on which every form vanishes.
+    x^dagger C x is GF(q)-linear in C, whose (n+1)^2 GF(q)-coordinates are C[i][i]
+    and (a, b) with C[i][j] = a + b*e for i < j, e the field's generator (outside
+    GF(q)).  At a point x the coordinate forms take the values N(x_i) and
+    Tr(g conj(x_i) x_j), g in (1, e).  Walking the points of S, the first basis
+    form with a nonzero value at x is the pivot and every other one loses its
+    multiple of it, so the basis drops by one; None once it is empty.  The first
+    nonsingular combination of the survivors, in lexicographic order over GF(q), is
+    certified to vanish on S (AssertionError if not) and returned; None if all are
+    singular.  ValueError on an empty set, on which every form vanishes.
     """
     if not S.members:
         raise ValueError("every form vanishes on the empty set; nothing to fit")
-    field, n1 = S.field, S.n + 1
-    p, d = field.p, field.degree
-    add, mul, conj, mat_vec = field.add_enc, field.mul_enc, field._conj, field.mat_vec_enc
-
-    # (i, j, g): coordinate of entry (i, j), j >= i, along g; encodings < p are GF(p) scalars
-    diag = _subfield_gfp_basis(field)
-    unknowns = [(i, i, g) for i in range(n1) for g in diag]
-    unknowns += [(i, j, p**k) for i in range(n1) for j in range(i + 1, n1) for k in range(d)]
-    u = len(unknowns)
-
-    def matrix(coeffs):
-        m = [[0] * n1 for _ in range(n1)]
-        for (i, j, g), c in zip(unknowns, coeffs):
-            if c:
-                m[i][j] = add(m[i][j], mul(c, g))
-        for i in range(n1):
-            for j in range(i):
-                m[i][j] = conj[m[j][i]]
-        return m
-
-    def value(m, x):  # conj(x)^T (m x)
-        return field.conj_dot_enc(x, mat_vec(m, x))
-
+    field, n1, q = S.field, S.n + 1, S.field.q
+    add, mul, conj, dot = field.add_enc, field.mul_enc, field._conj, field.conj_dot_enc
+    coords = [(i, j, g) for i, j in itertools.combinations_with_replacement(range(n1), 2)
+              for g in ((1,) if i == j else (1, field.generator))]
+    basis = [[int(k == c) for k in range(len(coords))] for c in range(len(coords))]
     pts = [_space(S.n, field).points[i] for i in S.members]
-    null = [[int(r == c) for c in range(u)] for r in range(u)]
-    mats = [matrix(v) for v in null]
     for x in pts:
-        vals = [value(m, x) for m in mats]
-        if any(vals):
-            keep = nullspace_mod_p([[v // p**b % p for v in vals] for b in range(d)], p)
-            if not keep:
-                return None
-            cols = list(zip(*null))
-            null = [[sum(map(operator.mul, w, col)) % p for col in cols] for w in keep]
-            mats = [matrix(v) for v in null]
-    null = nullspace_mod_p(nullspace_mod_p(null, p), p)
+        ys = [mul(g, mul(conj[x[i]], x[j])) for i, j, g in coords]
+        vals = [y if i == j else add(y, conj[y]) for (i, j, _), y in zip(coords, ys)]
+        ws = [dot(v, vals) for v in basis]  # GF(q) coordinates: conj is the identity on them
+        k = next((k for k, w in enumerate(ws) if w), None)
+        if k is None:
+            continue
+        pivot, scale = basis.pop(k), field.neg_enc(field.inv_enc(ws.pop(k)))
+        basis = [[add(a, mul(c, b)) for a, b in zip(v, pivot)] if (c := mul(w, scale)) else v
+                 for v, w in zip(basis, ws)]
+        if not basis:
+            return None
     # beyond one form's GF(q)-multiples: a nonsingular Hermitian curve meets each line in 1 or q + 1 points
-    if len(null) > field.t and S.n == 2 and max(_sections(S, 2)) > field.q + 1:
+    if len(basis) > 1 and S.n == 2 and max(_sections(S, 2)) > q + 1:
         return None
 
-    if p ** len(null) > _FIT_ENUM_LIMIT:
-        raise ValueError(f"nullspace too large to scan ({len(null)} dims)")
-    for combo in itertools.product(range(p), repeat=len(null)):
+    if q ** len(basis) > _FIT_ENUM_LIMIT:
+        raise ValueError(f"nullspace too large to scan ({len(basis)} dims over GF({q}))")
+    cols = list(zip(*basis))
+    for combo in itertools.product(field.subfield_encs, repeat=len(basis)):
         if not any(combo):
             continue
-        m = matrix([sum(c * vec[k] for c, vec in zip(combo, null)) % p for k in range(u)])
+        m = [[0] * n1 for _ in range(n1)]
+        for (i, j, g), c in zip(coords, (dot(combo, col) for col in cols)):
+            m[i][j] = add(m[i][j], mul(c, g))
+            m[j][i] = conj[m[i][j]]
         if det_enc(field, m):
-            if any(value(m, x) for x in pts):
+            if any(dot(x, field.mat_vec_enc(m, x)) for x in pts):
                 raise AssertionError("fitted form does not vanish on the point set")
             return HermitianForm._of(field, m)
     return None

@@ -16,7 +16,6 @@ from unitals.varieties import (
     HermitianForm,
     _canonical_variety,
     _line_sections,
-    _subfield_gfp_basis,
 )
 
 _TEICH_ENUM_LIMIT = 1 << 16
@@ -159,6 +158,21 @@ def irreducible_moduli(p: int, d: int) -> list[tuple[int, ...]]:
     return [m for m in moduli if _is_irreducible(m, p)]
 
 
+def subfield_gfp_basis(field: Field) -> list[int]:
+    """Encodings of a GF(p)-basis of GF(q) inside GF(q^2), greedy over ascending encodings.
+
+    A candidate joins when the digit columns of basis + [candidate] have no GF(p) nullspace.
+    """
+    basis: list[int] = []
+    for enc in field.subfield_encs[1:]:  # subfield_encs[0] is 0
+        if not nullspace_mod_p([*zip(*map(field._enc_to_poly, [*basis, enc]))], field.p):
+            basis.append(enc)
+            if len(basis) == field.t:
+                break
+    assert len(basis) == field.t
+    return basis
+
+
 def fit_hermitian_form_full_system(S: PointSet) -> HermitianForm | None:
     """A nonsingular Hermitian form vanishing on all of S, if one exists.
 
@@ -174,7 +188,7 @@ def fit_hermitian_form_full_system(S: PointSet) -> HermitianForm | None:
 
     unknowns = []  # (i, j, elem) with j >= i; j == i means diagonal over GF(q)
     for i in range(n + 1):
-        for g in _subfield_gfp_basis(field):
+        for g in subfield_gfp_basis(field):
             unknowns.append((i, i, field.elem(g)))
     for i in range(n + 1):
         for j in range(i + 1, n + 1):

@@ -247,6 +247,17 @@ def test_verify_unital_names_the_bad_member(tmp_path, capsys, case):
     assert run(capsys, "verify-unital", "--in", str(path)) == (2, "", f"error: {message}\n")
 
 
+# a field modulus that names no GF(q^2), p = 3 and t = 1: little-endian coefficients, the leading one last
+BAD_MODULI = {"degree 3": [2, 1, 0, 1], "degree 1": [1, 1], "not monic": [1, 0, 2], "leading 3 = 0 mod 3": [1, 0, 3]}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODULI))
+def test_verify_unital_refuses_a_bad_modulus(tmp_path, capsys, case):
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"n": 2, "p": 3, "t": 1, "modulus": BAD_MODULI[case], "members": [0]}))
+    assert run(capsys, "verify-unital", "--in", str(path)) == (2, "", "error: modulus must be monic of degree 2t\n")
+
+
 HUGE_P = 1000000000000000003  # a prime; trial division up to its root never ends
 HUGE_INPUTS = {
     "verify-unital huge p": ["verify-unital", "--in", "{huge_json}"],
@@ -330,14 +341,15 @@ def _corrupt_value_row(monkeypatch):
 def _misfit_form(monkeypatch):
     from unitals import varieties
 
-    solve = varieties.nullspace_mod_p
+    det = varieties.det_enc
 
-    # the fit of H(I) at q = 3 ends on one form of 9 coordinates; put diag(1, 1, 2), which misses H(I), in its place
-    def misfit(rows, p):
-        basis = solve(rows, p)
-        return [[1, 1, 2] + [0] * 6] if len(basis) == 1 and len(basis[0]) == 9 else basis
+    # the fit of H(I) at q = 3 scans the GF(3)-multiples of one form, c*I; add 1 to the last diagonal entry of each
+    # candidate as its determinant is taken, so the nonsingular one it returns, diag(c, c, c + 1), misses H(I)
+    def misfit(field, m):
+        m[-1][-1] = field.add_enc(m[-1][-1], 1)
+        return det(field, m)
 
-    monkeypatch.setattr(varieties, "nullspace_mod_p", misfit)
+    monkeypatch.setattr(varieties, "det_enc", misfit)
 
 
 # (how to make an internal consistency check fire, argv, the message it raises)
@@ -383,6 +395,48 @@ def test_internal_errors_exit_3(tmp_path, capsys, monkeypatch, case):
     assert code == 3
     assert out == ""
     assert err == f"internal error: {message}\n"
+
+
+def test_census_failed_check_exits_1_with_its_report(tmp_path, capsys, monkeypatch):
+    """A census whose records fail still writes its report; stderr's last line is the first failing record."""
+    from unitals import census
+
+    monkeypatch.setattr(census, "intersect_size", lambda A, B: 0)  # 0 is not 1 mod q
+    path = tmp_path / "rep.json"
+    code, out, err = run(capsys, "census", "--kind", "bm-vs-hermitian", "--q", "3", "--out", str(path))
+    assert (code, out) == (1, "")
+    report = json.loads(path.read_text())
+    assert report["records"] and not report["summary"]["ok"]
+    last = err.splitlines()[-1]
+    assert last.startswith("first failing record: ")
+    assert json.loads(last.removeprefix("first failing record: "))["ok"] is False
+
+
+def test_invariants_exit_1_when_the_snf_disagrees(capsys, monkeypatch):
+    from unitals import cli
+
+    snf = cli._snf_certified
+
+    def off_by_one(matrix, p):  # the largest elementary-divisor valuation one too high
+        vals, k = snf(matrix, p)
+        return (*vals[:-1], vals[-1] + 1), k
+
+    monkeypatch.setattr(cli, "_snf_certified", off_by_one)
+    code, out, err = run(capsys, "invariants", "--q", "2", "--r", "2", "--verify-snf")
+    assert code == 1
+    assert err == "snf oracle certified modulo 2^8\ninvariant formula disagrees with the SNF oracle\n"
+    data = json.loads(out)
+    assert not data["multisets_equal"] and data["snf_multiset"] != data["formula_multiset"]
+
+
+def test_charfn_check_exit_1_on_mismatches(capsys, monkeypatch):
+    from unitals import cli
+
+    monkeypatch.setattr(cli, "herm_char_value", lambda ring, pt, ell: ring.one)  # 1 off the variety and on it
+    code, out, _ = run(capsys, "charfn-check", "--q", "2")
+    assert code == 1
+    data = json.loads(out)
+    assert len(data["mismatches"]) == data["on_variety"] == 9
 
 
 def test_invariants_with_snf(capsys):

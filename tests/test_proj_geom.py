@@ -55,7 +55,7 @@ def test_point_enumeration(n, q, npoints):
 
 
 def test_point_index_refuses_coordinates_that_are_not_a_point():
-    """Too few or too many coordinates, or coordinates over another field, name no point of PG(2, 4)."""
+    """Too few or too many coordinates, coordinates over another field, or the zero vector name no point of PG(2, 4)."""
     f = field_for_q(2)
     pt = enum_points(2, f)[7]
     assert point_index(2, f, iter(pt)) == 7
@@ -63,6 +63,8 @@ def test_point_index_refuses_coordinates_that_are_not_a_point():
     for coords in bad:
         with pytest.raises(ValueError, match=r"^a point of PG\(2, 4\) has 3 coordinates in GF\(4\)$"):
             point_index(2, f, coords)
+    with pytest.raises(ValueError, match="^zero vector has no projective point$"):
+        point_index(2, f, (f.zero, f.zero, f.zero))
 
 
 @settings(max_examples=150, deadline=None)

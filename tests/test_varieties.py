@@ -18,7 +18,6 @@ from unitals.varieties import (
     _line_sections,
     _lines_through,
     _random_form_candidates,
-    _subfield_gfp_basis,
     _zero_set,
     all_valid_bm_params,
     blocks_of,
@@ -41,6 +40,7 @@ from reference_oracles import (
     irreducible_moduli,
     mat_mul,
     rank_enc,
+    subfield_gfp_basis,
     unitary_frame,
 )
 
@@ -81,7 +81,7 @@ def test_hermitian_form_refuses_entries_that_are_not_field_elements(rows):
         HermitianForm(((f.one, f.zero), (f.zero, rows[0][0])))
 
 
-# GF(p)-basis of GF(q) as encodings, greedy over ascending encodings of the subfield
+# the reference fit's GF(p)-basis of GF(q) as encodings, greedy over ascending encodings of the subfield
 GFP_BASIS = {
     2: [1], 3: [1], 4: [1, 10], 5: [1], 7: [1], 8: [1, 10, 36],
     9: [1, 15], 16: [1, 62, 90, 150], 25: [1, 200], 27: [1, 42, 327],
@@ -90,7 +90,7 @@ GFP_BASIS = {
 
 @pytest.mark.parametrize("q", sorted(GFP_BASIS))
 def test_subfield_gfp_basis_pinned(q):
-    assert _subfield_gfp_basis(field_for_q(q)) == GFP_BASIS[q]
+    assert subfield_gfp_basis(field_for_q(q)) == GFP_BASIS[q]
 
 
 @pytest.mark.parametrize("q,size", [(2, 9), (3, 28), (4, 65), (5, 126)])
@@ -222,8 +222,11 @@ def test_unitary_frame_exists_exactly_on_nonsingular_forms(n, p, t):
     assert outcomes == {True, False}  # both answers were exercised
 
 
-# (n, q) for the zero-set kernel: q = 7 takes a mod-p reduction within a sum, q = 4, 8, 9 have t > 1
-ZERO_SET_CASES = [(1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2), (3, 3)]
+# (n, q) for the zero-set kernel: q = 7 takes a mod-p reduction within a sum, q = 4, 8, 9 have t > 1,
+# q = 17, 19 take four-byte lanes (p > 13)
+ZERO_SET_CASES = [
+    (1, 2), (1, 3), (1, 17), (1, 19), (2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (3, 2), (3, 3)
+]
 
 
 @pytest.mark.parametrize("n,q", ZERO_SET_CASES)
@@ -593,6 +596,54 @@ FIT_REFERENCE_CASES = {
 
 @pytest.mark.parametrize("case", sorted(FIT_REFERENCE_CASES))
 def test_fit_matches_full_system_reference(case):
-    """The point-by-point fit returns the very form (or None) that the full-system solve returns."""
+    """The GF(q) fit returns a nonzero GF(q)-multiple of the form the GF(p) full-system solve returns, or None with it."""
     for S in FIT_REFERENCE_CASES[case]():
-        assert fit_hermitian_form(S) == fit_hermitian_form_full_system(S)
+        form, ref = fit_hermitian_form(S), fit_hermitian_form_full_system(S)
+        assert (form is None) == (ref is None)
+        if form is not None:
+            f = S.field
+            pairs = [(x.enc, y.enc) for row, ref_row in zip(form.matrix, ref.matrix) for x, y in zip(row, ref_row)]
+            x, y = next((x, y) for x, y in pairs if y)
+            lam = f.mul_enc(x, f.inv_enc(y))
+            assert lam in f.subfield_encs[1:]
+            assert all(x == f.mul_enc(lam, y) for x, y in pairs)
+
+
+def _count_det_calls(monkeypatch):
+    from unitals import varieties
+
+    calls = []
+
+    def counting(field, m):
+        calls.append(m)
+        return det_enc(field, m)
+
+    monkeypatch.setattr(varieties, "det_enc", counting)
+    return calls
+
+
+def test_fit_scans_gf_q_for_a_nonsingular_form_through_two_points(monkeypatch):
+    """Two points of PG(2, 4) leave 7 of the 9 GF(2)-coordinates; the scan finds a nonsingular form on both."""
+    f = field_for_q(2)
+    S = PointSet(2, f, (0, 5))
+    calls = _count_det_calls(monkeypatch)
+    form = fit_hermitian_form(S)
+    assert calls and form is not None and form.is_nonsingular
+    assert all(not form.evaluate(pt) for pt in S.coords())
+
+
+def test_fit_scan_finds_no_nonsingular_form_on_a_plane_of_pg3_4(monkeypatch):
+    """The forms vanishing on a plane h^perp are h a^dagger + a h^dagger, all of rank <= 2: the whole scan, then None."""
+    f = field_for_q(2)
+    plane = PointSet(3, f, subspace_member_indices(3, 3, f)[0])
+    calls = _count_det_calls(monkeypatch)
+    assert fit_hermitian_form(plane) is None
+    assert len(calls) == 2**7 - 1  # every nonzero combination of the 7 forms left over GF(2)
+
+
+def test_fit_refuses_a_scan_too_large_before_it_starts(monkeypatch):
+    """One point of PG(2, 81) leaves 8 forms over GF(9): 9^8 candidates pass the scan limit."""
+    calls = _count_det_calls(monkeypatch)
+    with pytest.raises(ValueError, match=r"^nullspace too large to scan \(8 dims over GF\(9\)\)$"):
+        fit_hermitian_form(PointSet(2, field_for_q(9), (0,)))
+    assert not calls
