@@ -5,17 +5,18 @@ reproducible across machines) and returns a CensusReport: a list of
 CensusRecord rows plus a summary with the assertion outcomes.  Nothing raises
 on a mathematical violation; violations land in the report and callers (the
 CLI, the tests) decide.  A report with no records never counts as a pass.
-Intersection sizes are always computed twice, by set intersection and by
-bitmask AND, and the two routes must agree.
+Each distinct pair of set objects is intersected once, and always by two
+routes, set intersection and bitmask AND, which must agree.
 
 Each census kind is a spec run by one pipeline (`_run`): a guard on its
 parameters, its pairs (left descriptor, left set, right descriptor, right
 set), drawn in a fixed order and, for the sampled kinds, lazily, a `judge`
 that reads the congruences, the verdict and any extras off one pair and its
 intersection size, and a `summarise` function over all records.  `_run` is
-the only place where a pair is intersected and a record built; a judge reads
-any further count off the two masks.  Reports hold no wall times, so
-identical configs give byte-identical files; timing is the caller's business.
+the only place where a pair is intersected, judged and a record built; a
+judge reads any further count off the two masks.  Reports hold no wall
+times, so identical configs give byte-identical files; timing is the
+caller's business.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import io
 import itertools
 import json
 import random
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
@@ -109,6 +111,7 @@ class CensusReport:
     config: dict
     records: list[CensusRecord]
     summary: dict
+    distinct_pairs: int | None = None  # pairs of set objects intersected; not serialised
 
     @property
     def ok(self) -> bool:
@@ -167,22 +170,36 @@ class CensusReport:
 
 
 def _run(kind: str, config: dict, pairs, judge, summarise) -> CensusReport:
-    """The census pipeline: intersect each pair in order, judge it, then summarise.
+    """The census pipeline: intersect and judge each distinct pair once, then summarise.
 
     Each pair is (left descriptor, left set, right descriptor, right set), and
     `judge(left set, right set, size)` returns the record's (congruences, ok,
     extra).  This is the one place where a pair is intersected and a record
-    built.  `summary["ok"]` is set here and nowhere else: every record passed,
-    and there was at least one record.
+    built, one record per pair drawn, in order.  A pair of set objects met
+    again (the sweeps repeat one U per B-M class) reuses its size and
+    verdict, with a copy of its first record's `extra`.  The memo holds weak
+    references under the two ids and hits only while both resolve to this
+    pair: it pins no set, and an id reused by a fresh set misses.
+    `summary["ok"]` is set here and nowhere else: every record passed, and
+    there was at least one record.
     """
-    records = []
+    records, seen, distinct = [], {}, 0
     for left, L, right, R in pairs:
-        size = intersect_size(L, R)
-        records.append(CensusRecord(left, right, size, *judge(L, R, size)))
+        key = id(L), id(R)
+        entry = seen.get(key)
+        if entry is not None and entry[0]() is L and entry[1]() is R:
+            size, congruences, ok, extra = entry[2:]
+            extra = dict(extra)
+        else:
+            distinct += 1
+            size = intersect_size(L, R)
+            congruences, ok, extra = judge(L, R, size)
+            seen[key] = (weakref.ref(L), weakref.ref(R), size, congruences, ok, extra)
+        records.append(CensusRecord(left, right, size, congruences, ok, extra))
     summary = summarise(records)
     summary["ok"] = bool(records) and all(r.ok for r in records)
     config["version"] = __version__
-    return CensusReport(kind=kind, config=config, records=records, summary=summary)
+    return CensusReport(kind=kind, config=config, records=records, summary=summary, distinct_pairs=distinct)
 
 
 def _hist(values) -> dict[str, int]:

@@ -279,7 +279,8 @@ def cmd_census(args) -> int:
         report = nonhermitian_pair_scan(q, samples, args.seed)
     text = report.to_json() if args.format == "json" else report.to_csv()
     _emit(text, args.out)
-    print(json.dumps({"kind": report.kind, "summary": report.summary}, sort_keys=True), file=sys.stderr)
+    pairs = {"records": len(report.records), "distinct": report.distinct_pairs}
+    print(json.dumps({"kind": report.kind, "pairs": pairs, "summary": report.summary}, sort_keys=True), file=sys.stderr)
     if not report.ok:
         bad = report.first_violation()
         if bad is not None:

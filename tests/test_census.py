@@ -3,9 +3,13 @@ import hashlib
 import io
 import itertools
 import json
+import random
+import weakref
+from collections import Counter
 
 import pytest
 
+from unitals import census
 from unitals.census import (
     DEFAULT_SEED,
     HERMITIAN_SAMPLES,
@@ -237,6 +241,82 @@ def test_sweep_shares_one_set_per_bm_class(q, distinct):
     assert len({id(U) for _, U in unitals}) == distinct
     for (_, U), pr in zip(unitals, params):
         assert U == bm_unital(pr)
+
+
+def _count_calls(monkeypatch) -> Counter:
+    """Count census.intersect_size calls and calls of the judge each census hands _run."""
+    calls = Counter()
+    size, run = census.intersect_size, census._run
+
+    def counted_size(A, B):
+        calls["intersect"] += 1
+        return size(A, B)
+
+    def counted_run(kind, config, pairs, judge, summarise):
+        def counted_judge(*args):
+            calls["judge"] += 1
+            return judge(*args)
+
+        return run(kind, config, pairs, counted_judge, summarise)
+
+    monkeypatch.setattr(census, "intersect_size", counted_size)
+    monkeypatch.setattr(census, "_run", counted_run)
+    return calls
+
+
+@pytest.mark.parametrize("sweep", [general_unital_congruence, bm_vs_hermitian_census])
+def test_sweep_intersects_and_judges_each_distinct_pair_once(monkeypatch, sweep):
+    """q = 3: 378 records from 6 distinct B-M sets x 21 Hermitian sets = 126 pairs, each with its own extra."""
+    calls = _count_calls(monkeypatch)
+    rep = sweep(3)
+    assert len(rep.records) == 378
+    assert calls == {"intersect": 126, "judge": 126}
+    assert rep.distinct_pairs == 126
+    assert len({id(r.extra) for r in rep.records}) == 378
+    first = rep.records[0]
+    twin = next(r for r in rep.records[1:] if r.right is first.right and r.extra == first.extra)
+    first.extra["mutated"] = True
+    assert "mutated" not in twin.extra
+
+
+def test_sampled_census_gets_no_memo_hits(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    rep = kestenband_census(2, samples=10, seed=1)
+    assert calls == {"intersect": 10, "judge": 10}
+    assert rep.distinct_pairs == len(rep.records) == 10
+
+
+@pytest.mark.parametrize("one_key", [False, True])
+def test_run_memo_neither_goes_stale_nor_pins_a_set(monkeypatch, one_key):
+    """Each pair is fresh sets, dropped once drawn; no size may come from a dead pair, and no set outlives its record.
+
+    A freed set's id can be reused by a later set.  Whether the allocator does
+    that for both sides of a pair is up to it, so the second case maps every id
+    to one key: each lookup then finds the previous pair's entry, and only the
+    check that its references resolve to this pair keeps the size right.
+    """
+    if one_key:
+        monkeypatch.setattr(census, "id", lambda obj: 0, raising=False)
+    f = field_for_q(2)  # PG(2, 4): 21 points
+    rng = random.Random(7)
+    refs, expected, pinned = [], [], []
+
+    def pairs():
+        for i in range(50):
+            pinned.append(sum(ref() is not None for ref in refs[:-2]))  # _run still holds the last pair
+            L = PointSet.of(2, f, rng.sample(range(21), rng.randrange(1, 22)))
+            R = PointSet.of(2, f, rng.sample(range(21), rng.randrange(1, 22)))
+            refs.extend((weakref.ref(L), weakref.ref(R)))
+            expected.append(len(set(L.members) & set(R.members)))
+            yield {"i": i}, L, {"i": i}, R
+            del L, R
+
+    rep = census._run("hand-made", {}, pairs(), lambda L, R, size: ((), True, {}), lambda records: {})
+    assert [r.size for r in rep.records] == expected
+    assert len(set(expected)) > 5
+    assert rep.distinct_pairs == 50
+    assert pinned == [0] * 50
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 @pytest.mark.slow

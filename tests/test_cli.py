@@ -478,6 +478,27 @@ def test_census_cli_json_and_csv(tmp_path, capsys):
     assert len(out.splitlines()) == 6
 
 
+CENSUS_STDERR_Q3 = {
+    "general": {
+        "kind": "general_unital_congruence",
+        "summary": {"hermitian_sets": 21, "min_nu_p_size_minus_1": 1, "ok": True, "pairs": 378, "theta": 1, "unitals": 18},
+    },
+    "bm-vs-hermitian": {
+        "kind": "bm_vs_hermitian",
+        "summary": {"hermitian_sets": 21, "ok": True, "pairs": 378, "residues_mod_q": {"1": 378}, "valid_params": 18},
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CENSUS_STDERR_Q3))
+def test_census_stderr_counts_distinct_set_pairs(capsys, kind):
+    """The stderr line counts records and the distinct set pairs behind them: 18 (a, b) in 6 classes x 21 sets."""
+    code, _, err = run(capsys, "census", "--kind", kind, "--q", "3", "--out", os.devnull)
+    assert code == 0
+    line = json.loads(err)
+    assert line == {**CENSUS_STDERR_Q3[kind], "pairs": {"records": 378, "distinct": 126}}
+
+
 def test_census_cli_other_kinds(capsys):
     code, out, _ = run(
         capsys, "census", "--kind", "hermitian-pairs", "--q", "2", "--samples", "5"
