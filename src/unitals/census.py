@@ -5,8 +5,8 @@ reproducible across machines) and returns a CensusReport: a list of
 CensusRecord rows plus a summary with the assertion outcomes.  Nothing raises
 on a mathematical violation; violations land in the report and callers (the
 CLI, the tests) decide.  A report with no records never counts as a pass.
-Each distinct pair of set objects is intersected once, and always by two
-routes, set intersection and bitmask AND, which must agree.
+Each distinct pair of sets is intersected once, and always by two routes,
+set intersection and bitmask AND, which must agree.
 
 Each census kind is a spec run by one pipeline (`_run`): a guard on its
 parameters, its pairs (left descriptor, left set, right descriptor, right
@@ -26,7 +26,6 @@ import io
 import itertools
 import json
 import random
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 
@@ -111,7 +110,7 @@ class CensusReport:
     config: dict
     records: list[CensusRecord]
     summary: dict
-    distinct_pairs: int | None = None  # pairs of set objects intersected; not serialised
+    distinct_pairs: int | None = None  # distinct pairs of sets intersected; not serialised
 
     @property
     def ok(self) -> bool:
@@ -175,31 +174,26 @@ def _run(kind: str, config: dict, pairs, judge, summarise) -> CensusReport:
     Each pair is (left descriptor, left set, right descriptor, right set), and
     `judge(left set, right set, size)` returns the record's (congruences, ok,
     extra).  This is the one place where a pair is intersected and a record
-    built, one record per pair drawn, in order.  A pair of set objects met
-    again (the sweeps repeat one U per B-M class) reuses its size and
-    verdict, with a copy of its first record's `extra`.  The memo holds weak
-    references under the two ids and hits only while both resolve to this
-    pair: it pins no set, and an id reused by a fresh set misses.
-    `summary["ok"]` is set here and nowhere else: every record passed, and
-    there was at least one record.
+    built, one record per pair drawn, in order.  A pair of sets met again (the
+    sweeps repeat one U per B-M class) reuses its size and verdict, and every
+    record gets its own copy of `extra`.  The memo keys on the two masks, which
+    name the sets exactly: every kind draws both sides in one PG(n, q^2), and
+    `intersect_size` and the judges read only the sets' members, masks and
+    sizes.  `summary["ok"]` is set here and nowhere else: every record passed,
+    and there was at least one record.
     """
-    records, seen, distinct = [], {}, 0
+    records, seen = [], {}
     for left, L, right, R in pairs:
-        key = id(L), id(R)
-        entry = seen.get(key)
-        if entry is not None and entry[0]() is L and entry[1]() is R:
-            size, congruences, ok, extra = entry[2:]
-            extra = dict(extra)
-        else:
-            distinct += 1
+        key = L.mask, R.mask
+        if key not in seen:
             size = intersect_size(L, R)
-            congruences, ok, extra = judge(L, R, size)
-            seen[key] = (weakref.ref(L), weakref.ref(R), size, congruences, ok, extra)
-        records.append(CensusRecord(left, right, size, congruences, ok, extra))
+            seen[key] = (size, *judge(L, R, size))
+        size, congruences, ok, extra = seen[key]
+        records.append(CensusRecord(left, right, size, congruences, ok, dict(extra)))
     summary = summarise(records)
     summary["ok"] = bool(records) and all(r.ok for r in records)
     config["version"] = __version__
-    return CensusReport(kind=kind, config=config, records=records, summary=summary, distinct_pairs=distinct)
+    return CensusReport(kind=kind, config=config, records=records, summary=summary, distinct_pairs=len(seen))
 
 
 def _hist(values) -> dict[str, int]:

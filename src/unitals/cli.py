@@ -82,14 +82,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("field-info", help="describe GF(q^2) and its tables")
     _add_field_flags(sp)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_field_info)
 
     sp = sub.add_parser("enum", help="enumerate points/subspaces/monomials")
     _add_field_flags(sp, need_n=True)
     sp.add_argument("--what", choices=["points", "lines", "subspaces", "monomials"], required=True)
     sp.add_argument("--r", type=int, help="subspace dimension (for --what subspaces)")
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_enum)
 
     sp = sub.add_parser("make-unital", help="construct a unital point set")
@@ -98,19 +96,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=int, help="encoding of a (bm)")
     sp.add_argument("--b", type=int, help="encoding of b (bm)")
     sp.add_argument("--seed", type=int, help="random Hermitian form seed (hermitian)")
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_make_unital)
 
     sp = sub.add_parser("verify-unital", help="check a point-set file")
     sp.add_argument("--in", dest="infile", required=True)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_verify_unital)
 
     sp = sub.add_parser("invariants", help="monomial invariant table for A_{r,1}")
     _add_field_flags(sp, need_n=True)
     sp.add_argument("--r", type=int, required=True)
     sp.add_argument("--verify-snf", action="store_true", help="cross-check with the certified SNF oracle")
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_invariants)
 
     sp = sub.add_parser("census", help="run an intersection census")
@@ -125,15 +120,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_census)
 
     sp = sub.add_parser("charfn-check", help="ring-side Hermitian characteristic function")
     _add_field_flags(sp)
     sp.add_argument("--ell", type=int, default=1)
-    sp.add_argument("--out")
     sp.set_defaults(func=cmd_charfn)
 
+    for sp in sub.choices.values():
+        sp.add_argument("--out")
     return ap
 
 

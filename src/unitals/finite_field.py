@@ -111,10 +111,6 @@ class FieldElem:
         """Polynomial-basis coefficients, little-endian, length 2t."""
         return tuple(self.field._enc_to_poly(self.enc))
 
-    @property
-    def in_subfield(self) -> bool:
-        return self.field._conj[self.enc] == self.enc
-
     def _check(self, other) -> int:
         if not isinstance(other, FieldElem):
             raise TypeError(f"cannot combine FieldElem with {type(other).__name__}")
@@ -367,10 +363,6 @@ class Field:
         if len(coeffs) > self.degree:
             raise ValueError("too many coefficients")
         return self._elems[self._poly_to_enc(coeffs)]
-
-    def subfield_elements(self) -> tuple[FieldElem, ...]:
-        """The q elements of GF(q), ascending by encoding."""
-        return tuple(self._elems[e] for e in self.subfield_encs)
 
     def __repr__(self):
         return f"Field(p={self.p}, t={self.t}, modulus={self.modulus})"

@@ -136,11 +136,6 @@ class GaloisRing:
         coeffs += [0] * (self.degree - len(coeffs))
         return GaloisRingElem(self, tuple(c % self.pk for c in coeffs))
 
-    def scalar(self, c: int) -> GaloisRingElem:
-        out = [0] * self.degree
-        out[0] = c % self.pk
-        return GaloisRingElem(self, tuple(out))
-
     def teichmuller(self, x: FieldElem) -> GaloisRingElem:
         """The Teichmüller lift T(x): reduces to x, fixed by ^(p^degree)."""
         if x.field is not self.field:

@@ -319,6 +319,26 @@ def test_run_memo_neither_goes_stale_nor_pins_a_set(monkeypatch, one_key):
     assert [ref for ref in refs if ref() is not None] == []
 
 
+def test_run_memo_keys_on_the_sets_not_the_objects(monkeypatch):
+    """Fresh PointSet objects with equal members are one pair; one point off is a second; each record owns its extra."""
+    calls = _count_calls(monkeypatch)
+    f = field_for_q(2)  # PG(2, 4): 21 points
+
+    def pairs():
+        for i in range(3):
+            yield {"i": i}, PointSet(2, f, (0, 3, 5, 8)), {"i": i}, PointSet(2, f, (1, 3, 5))
+        yield {"i": 3}, PointSet(2, f, (0, 3, 5, 8)), {"i": 3}, PointSet(2, f, (1, 3, 6))
+
+    rep = census._run("hand-made", {}, pairs(), lambda L, R, size: ((), True, {"size": size}), lambda records: {})
+    assert [r.size for r in rep.records] == [2, 2, 2, 1]
+    assert calls == {"intersect": 2, "judge": 2}
+    assert rep.distinct_pairs == 2
+    assert [r.extra for r in rep.records] == [{"size": 2}] * 3 + [{"size": 1}]
+    assert len({id(r.extra) for r in rep.records}) == 4
+    rep.records[0].extra["mutated"] = True
+    assert all("mutated" not in r.extra for r in rep.records[1:])
+
+
 @pytest.mark.slow
 def test_general_unital_congruence_q9():
     """q = 9: 2,592 valid (a, b) in 288 classes against 21 Hermitian sets; the paper's modulus is p^ceil(t/2) = 3."""

@@ -117,6 +117,8 @@ def test_enum_points_as_subspaces_bytes(capsys):
         (["--what", "points", "--n", "0"], "n = 0 must be >= 1"),
         (["--what", "lines", "--n", "1"], "--what lines needs --n >= 2, not 1"),
         (["--what", "lines", "--n", "0"], "--what lines needs --n >= 2, not 0"),
+        (["--what", "subspaces", "--n", "2", "--r", "0"], "r = 0 must lie in [1, 2]"),
+        (["--what", "subspaces", "--n", "2", "--r", "3"], "r = 3 must lie in [1, 2]"),
     ],
 )
 def test_enum_bad_n(capsys, flags, message):
@@ -235,6 +237,7 @@ BAD_MEMBERS = {
     "negative": ([-3, 0], "member -3 is not a point index of PG(2, 4) (0..20)"),
     "descending": ([4, 3], "members must be strictly increasing indices"),
     "repeated": ([4, 4], "members must be strictly increasing indices"),
+    "not a list": (5, "point set members must be a JSON list, not int"),
 }
 
 
@@ -310,6 +313,19 @@ def _drop_line(monkeypatch):
     monkeypatch.setattr(varieties, "_lines_through", lambda field, i: lines(field, i)[:-1])
 
 
+def _repeat_line(monkeypatch):
+    from unitals import varieties
+
+    through = varieties._lines_through
+
+    # point 5, the first member of H(I) at q = 3, is handed its first line twice: that section overflows
+    def repeated(field, i):
+        lines = through(field, i)
+        return lines + lines[:1] if i == 5 else lines
+
+    monkeypatch.setattr(varieties, "_lines_through", repeated)
+
+
 def _stall_hensel(monkeypatch):
     from unitals.galois_ring import GaloisRingElem
 
@@ -372,6 +388,10 @@ INTERNAL_ERRORS = {
     ),
     "line sections": (
         _drop_line, ["verify-unital", "--in", "{unital}"],
+        "AssertionError: line sections disagree with the line masks",
+    ),
+    "line section overflow": (
+        _repeat_line, ["verify-unital", "--in", "{unital}"],
         "AssertionError: line sections disagree with the line masks",
     ),
     "fitted form": (
@@ -670,6 +690,21 @@ def test_charfn_check_report_bytes(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "84074f61cbe65d99e6983bc542eafe8cfbc7725c80cf1170a9beaa838289e1c9"
+
+
+# (exit code, stdout, stderr) of `field-info --q <key>`: a field, and a q that names none
+MODULE_RUNS = {"4": (0, FIELD_INFO_Q4, ""), "6": (2, "", "error: q = 6 is not a prime power with q^2 <= 65536\n")}
+
+
+@pytest.mark.parametrize("q", sorted(MODULE_RUNS))
+def test_module_entry_point_runs_main(capsys, q):
+    """`python -m unitals.cli` gives main's exit code and bytes: a good run, and a bad flag on one error line."""
+    src = str(Path(unitals.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "unitals.cli", "field-info", "--q", q],
+        capture_output=True, text=True, timeout=30, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == MODULE_RUNS[q] == run(capsys, "field-info", "--q", q)
 
 
 def test_version_flag(capsys):

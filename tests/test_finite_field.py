@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unitals.finite_field import (
+    Field,
     FieldElem,
     abs_trace,
     field_for_q,
@@ -34,6 +35,28 @@ def test_make_field_is_cached_and_validated():
         make_field(2, 9)  # 2^18 over the size limit
     with pytest.raises(ValueError):
         make_field(2, 1, (1, 0, 1))  # x^2+1 = (x+1)^2 over GF(2)
+
+
+def test_field_without_a_modulus_matches_make_field():
+    """Field(p, t) picks make_field's default modulus itself, so both build the same tables."""
+    for p, t in SMALL_FIELDS:
+        f, g = Field(p, t), make_field(p, t)
+        assert f is not g
+        assert (f.modulus, f.generator, f._exp, f._log, f.subfield_encs) == (
+            g.modulus, g.generator, g._exp, g._log, g.subfield_encs,
+        )
+
+
+def test_element_level_refusals():
+    f = make_field(3, 1)  # GF(9) over GF(3)
+    with pytest.raises(ValueError, match="encoding 9 out of range for GF"):
+        f.elem(f.size)
+    with pytest.raises(ValueError, match="too many coefficients"):
+        f.from_coeffs([1] * (2 * f.t + 1))
+    with pytest.raises(ValueError, match="frobenius power must be >= 0"):
+        f.frob_enc(f.gen.enc, -1)
+    with pytest.raises(ValueError, match="is_square takes an element of the subfield"):
+        is_square(f.gen)  # order 8 exceeds q-1 = 2, so gen lies outside GF(3)
 
 
 def test_field_for_q():
@@ -99,7 +122,7 @@ def test_frobenius_is_additive_automorphism(p, t):
 def test_subfield_and_norm_trace(p, t):
     f = make_field(p, t)
     q = f.q
-    sub = f.subfield_elements()
+    sub = tuple(map(f.elem, f.subfield_encs))
     assert len(sub) == q
     subset = set(sub)
     for x in sub:
@@ -131,7 +154,7 @@ def test_abs_trace(p, t):
         vals[v] = vals.get(v, 0) + 1
     # absolute trace is onto GF(p) with equal fibers
     assert all(vals.get(c, 0) == f.q // p for c in range(p))
-    assert not f.gen.in_subfield  # order q^2-1 exceeds q-1
+    assert frobenius(f.gen, f.t) != f.gen  # not in GF(q): order q^2-1 exceeds q-1
     with pytest.raises(ValueError):
         abs_trace(f.gen)
 

@@ -56,6 +56,8 @@ def test_digit_sum_and_val():
     assert digit_sum(0, 3) == 0
     assert digit_sum(26, 3) == 6  # 222 base 3
     assert digit_sum(8, 2) == 1
+    with pytest.raises(ValueError):
+        digit_sum(-1, 3)
     assert val_p(8, 2) == 3
     assert val_p(18, 3) == 2
     assert val_p(7, 5) == 0
