@@ -49,8 +49,8 @@ print(f"first point {tuple(c.enc for c in pts[0])}, last {tuple(c.enc for c in p
 print(f"first line through points {lines[0][:5]}... ({len(lines[0])} points)")
 
 A = incidence_matrix(2, 2, f)
-row_sums = {A.row_sum(i) for i in range(A.n_rows)}
-col_sums = {A.col_sum(j) for j in range(A.n_cols)}
+row_sums = {r.bit_count() for r in A.rows}
+col_sums = set(map(sum, zip(*A.to_dense())))
 print(f"incidence matrix: {A.n_rows} x {A.n_cols}")
 print(f"points per line: {row_sums}, lines per point: {col_sums}")
 assert row_sums == col_sums == {f.size + 1}

@@ -462,17 +462,18 @@ def nonhermitian_pair_scan(
     samples: int = DEFAULT_SAMPLES,
     seed: int = DEFAULT_SEED,
 ) -> CensusReport:
-    """Residue scan for pairs of distinct non-Hermitian B-M unitals.
+    """Residue scan for pairs of non-Hermitian B-M unitals with distinct parameters (a, b).
 
-    No congruence is asserted; this is output only.  The class of these
-    unitals is closed under projectivities, so a faithful random pair puts
-    the second unital in general position via a seeded collineation.
-    Without it both unitals would stay in the standard chart, where every
-    pair shares the point (0,0,1) and the affine parts meet in a multiple of
-    q points (the z-cosets over GF(q) coincide or miss), so those sizes are
-    trivially 1 mod q.  The summary reports the residue histograms mod p,
-    mod p^ceil(t/2) and mod q, and whether the mod-p and mod-q residues came
-    out non-constant.
+    Two parameters of one (a, b^q - b) class give one set, so such a pair is a
+    unital U against its own image g.U.  No congruence is asserted; this is
+    output only.  The class of these unitals is closed under projectivities,
+    so a faithful random pair puts the second unital in general position via
+    a seeded collineation.  Without it both unitals would stay in the
+    standard chart, where every pair shares the point (0,0,1) and the affine
+    parts meet in a multiple of q points (the z-cosets over GF(q) coincide or
+    miss), so those sizes are trivially 1 mod q.  The summary reports the
+    residue histograms mod p, mod p^ceil(t/2) and mod q, and whether the
+    mod-p and mod-q residues came out non-constant.
     """
     if q not in (3, 4, 5, 7, 8, 9):
         raise ValueError("nonhermitian_pair_scan supports q in {3, 4, 5, 7, 8, 9}")

@@ -1,14 +1,45 @@
-"""Small dense linear algebra: determinants over a Field and GF(p) nullspaces.
+"""Small dense linear algebra over a Field: determinants and GF(p) nullspaces.
 
-`det_enc` eliminates on integer encodings; `mat_det` is its FieldElem façade.
+`_echelon` is the one Gaussian elimination, on integer encodings through the
+Field kernel.  `det_enc` reads the determinant off it (`mat_det` is its
+FieldElem façade); `nullspace_mod_p` runs it in GF(p^2), whose encodings
+0..p-1 are GF(p), for the value digits of `varieties`' packed value rows.
 Matrix-vector products run on encodings too (`Field.mat_vec_enc`).
-`nullspace_mod_p` is the one GF(p) eliminator: it picks the value digits that
-determine an element of GF(q), for the packed value rows of `varieties`.
 """
 
 from __future__ import annotations
 
-from .finite_field import Field, FieldElem
+from .finite_field import Field, FieldElem, make_field
+
+
+def _echelon(field: Field, rows, ncols: int):
+    """Row echelon form of a matrix of encodings: (rows, pivot columns, signed pivot product).
+
+    Each pivot is scaled to 1 and cleared below; the product of the pivots
+    changes sign at each row swap, so it is the determinant of a square
+    matrix whose every row pivots.
+    """
+    add, mul, neg = field.add_enc, field.mul_enc, field.neg_enc
+    rows = [list(r) for r in rows]
+    pivots = []
+    det = 1
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        if piv != rank:
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            det = neg(det)
+        det = mul(det, rows[rank][col])
+        inv = field.inv_enc(rows[rank][col])
+        rows[rank] = [mul(x, inv) for x in rows[rank]]
+        for r in range(rank + 1, len(rows)):
+            f = neg(rows[r][col])
+            if f:
+                rows[r] = [add(a, mul(f, b)) for a, b in zip(rows[r], rows[rank])]
+        pivots.append(col)
+    return rows, pivots, det
 
 
 def mat_det(M) -> FieldElem:
@@ -21,29 +52,8 @@ def mat_det(M) -> FieldElem:
 
 def det_enc(field: Field, M) -> int:
     """The determinant of a square matrix of encodings, by Gaussian elimination."""
-    add, mul, neg = field.add_enc, field.mul_enc, field.neg_enc
-    rows = [list(r) for r in M]
-    n = len(rows)
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if rows[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = neg(det)
-        det = mul(det, rows[col][col])
-        inv = field.inv_enc(rows[col][col])
-        rows[col] = [mul(x, inv) for x in rows[col]]
-        for r in range(col + 1, n):
-            f = neg(rows[r][col])
-            if f:
-                rows[r] = [add(a, mul(f, b)) for a, b in zip(rows[r], rows[col])]
-    return det
-
-
-# ---------------------------------------------------------------------------
-# GF(p) solver on plain integer matrices
+    _, pivots, det = _echelon(field, M, len(M))
+    return det if len(pivots) == len(M) else 0
 
 
 def nullspace_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -51,33 +61,18 @@ def nullspace_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
 
     One vector per free column of the reduced row echelon form, so the basis
     depends only on the row space.  ValueError on a matrix with no rows, whose
-    column count is unknown.
+    column count is unknown, and unless p is a prime with p^2 <= MAX_FIELD_SIZE.
     """
     if not rows:
         raise ValueError("nullspace of a matrix with no rows: column count unknown")
-    ncols = len(rows[0])
-    work = [[x % p for x in row] for row in rows]
-    pivots = {}  # col -> row
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], -1, p)
-        work[rank] = [(x * inv) % p for x in work[rank]]
-        for r in range(len(work)):
-            if r != rank and work[r][col]:
-                f = work[r][col]
-                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[rank])]
-        pivots[col] = rank
-        rank += 1
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    field, ncols = make_field(p, 1), len(rows[0])
+    work, pivots, _ = _echelon(field, [[x % p for x in row] for row in rows], ncols)
     basis = []
-    for fc in free_cols:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
         vec[fc] = 1
-        for pc, pr in pivots.items():
-            vec[pc] = (-work[pr][fc]) % p
+        # back-substitution: row r is zero left of its pivot, and vec is zero at columns not yet solved
+        for r in reversed(range(len(pivots))):
+            vec[pivots[r]] = field.neg_enc(field.mat_vec_enc((work[r],), vec)[0])
         basis.append(vec)
     return basis

@@ -255,16 +255,6 @@ class IncidenceMatrix:
     n_cols: int
     rows: tuple[int, ...]  # rows[i] bit j set iff point j lies in subspace i
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def row_sum(self, i: int) -> int:
-        return self.rows[i].bit_count()
-
-    def col_sum(self, j: int) -> int:
-        bit = 1 << j
-        return sum(1 for r in self.rows if r & bit)
-
     def to_dense(self) -> list[list[int]]:
         return [
             [(r >> j) & 1 for j in range(self.n_cols)] for r in self.rows

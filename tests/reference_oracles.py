@@ -9,7 +9,6 @@ import itertools
 
 from unitals.finite_field import Field, _is_irreducible, frobenius
 from unitals.galois_ring import GaloisRing, GaloisRingElem
-from unitals.linalg import nullspace_mod_p
 from unitals.proj_geom import PointSet, _image_enc, _mask_of, _space, enum_points
 from unitals.varieties import (
     _FIT_ENUM_LIMIT,
@@ -74,6 +73,18 @@ def rank_enc(field: Field, M) -> int:
             rows[r] = [field.add_enc(a, field.mul_enc(f, b)) for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def det_by_leibniz(field: Field, M) -> int:
+    """The determinant of a square matrix of encodings, summed over every permutation."""
+    det = 0
+    for perm in itertools.permutations(range(len(M))):
+        term = 1
+        for i, j in enumerate(perm):
+            term = field.mul_enc(term, M[i][j])
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        det = field.add_enc(det, field.neg_enc(term) if inversions % 2 else term)
+    return det
 
 
 def hermitian_variety_by_frame(n: int, field, C) -> PointSet | None:
@@ -158,6 +169,43 @@ def irreducible_moduli(p: int, d: int) -> list[tuple[int, ...]]:
     return [m for m in moduli if _is_irreducible(m, p)]
 
 
+def nullspace_mod_p_by_rref(rows: list[list[int]], p: int) -> list[list[int]]:
+    """Basis of the right nullspace of an integer matrix over GF(p), by RREF in plain mod-p arithmetic.
+
+    One vector per free column of the reduced row echelon form, so the basis
+    depends only on the row space.  ValueError on a matrix with no rows, whose
+    column count is unknown.
+    """
+    if not rows:
+        raise ValueError("nullspace of a matrix with no rows: column count unknown")
+    ncols = len(rows[0])
+    work = [[x % p for x in row] for row in rows]
+    pivots = {}  # col -> row
+    rank = 0
+    for col in range(ncols):
+        piv = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][col], -1, p)
+        work[rank] = [(x * inv) % p for x in work[rank]]
+        for r in range(len(work)):
+            if r != rank and work[r][col]:
+                f = work[r][col]
+                work[r] = [(a - f * b) % p for a, b in zip(work[r], work[rank])]
+        pivots[col] = rank
+        rank += 1
+    free_cols = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free_cols:
+        vec = [0] * ncols
+        vec[fc] = 1
+        for pc, pr in pivots.items():
+            vec[pc] = (-work[pr][fc]) % p
+        basis.append(vec)
+    return basis
+
+
 def subfield_gfp_basis(field: Field) -> list[int]:
     """Encodings of a GF(p)-basis of GF(q) inside GF(q^2), greedy over ascending encodings.
 
@@ -165,7 +213,7 @@ def subfield_gfp_basis(field: Field) -> list[int]:
     """
     basis: list[int] = []
     for enc in field.subfield_encs[1:]:  # subfield_encs[0] is 0
-        if not nullspace_mod_p([*zip(*map(field._enc_to_poly, [*basis, enc]))], field.p):
+        if not nullspace_mod_p_by_rref([*zip(*map(field._enc_to_poly, [*basis, enc]))], field.p):
             basis.append(enc)
             if len(basis) == field.t:
                 break
@@ -208,7 +256,7 @@ def fit_hermitian_form_full_system(S: PointSet) -> HermitianForm | None:
         for bit in range(d):
             rows.append([c[bit] for c in cols])
 
-    null = nullspace_mod_p(rows, p)
+    null = nullspace_mod_p_by_rref(rows, p)
     if not null:
         return None
     if p ** len(null) > _FIT_ENUM_LIMIT:

@@ -25,7 +25,7 @@ from unitals.census import (
     kestenband_census,
     nonhermitian_pair_scan,
 )
-from unitals.finite_field import field_for_q
+from unitals.finite_field import field_for_q, frobenius
 from unitals.proj_geom import PointSet, all_points_set, apply_collineation
 from unitals.varieties import (
     BMParams,
@@ -421,6 +421,24 @@ def test_nonhermitian_pair_scan_general_position():
     assert rep.summary["non_constant_mod_q"]
     for r in rep.records:
         assert "collineation" in r.right
+
+
+@pytest.mark.parametrize("q,self_pairs", [(3, 34), (4, 15), (5, 5)])
+def test_nonhermitian_scan_pairs_some_unitals_with_their_own_image(q, self_pairs):
+    """The scan draws two distinct parameters (a, b), which need not give two distinct sets.
+
+    U_{a,b} depends on b only through b^q - b, so a pair whose parameters share a
+    and b^q - b is one unital U against its image g.U.
+    """
+    f = field_for_q(q)
+
+    def bm_class(desc):
+        b = f.elem(desc["b"])
+        return desc["a"], frobenius(b, f.t) - b
+
+    records = nonhermitian_pair_scan(q).records
+    assert all((r.left["a"], r.left["b"]) != (r.right["a"], r.right["b"]) for r in records)
+    assert sum(bm_class(r.left) == bm_class(r.right) for r in records) == self_pairs
 
 
 @pytest.mark.parametrize("q,pairs,proper_pairs", [(3, 153, 66), (4, 2556, 1770), (5, 19900, 16110)])

@@ -37,6 +37,13 @@ def test_ring_arithmetic_basics():
         r.elem([1, 2, 3])
 
 
+def test_ring_elem_truth():
+    r = make_ring(make_field(2, 2), 2)  # Z/4[X]/(F), deg 4
+    assert not r.zero and not r.elem((4, 0, 8, 0))  # coefficients reduce mod 4
+    assert r.elem((0, 1))  # X
+    assert r.elem((0, 0, 0, 2))  # only the X^3 coefficient, 2 mod 4
+
+
 def test_ring_validation():
     f = make_field(2, 1)
     with pytest.raises(ValueError):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unitals.finite_field import make_field
-from unitals.linalg import mat_det, nullspace_mod_p
+from unitals.linalg import det_enc, mat_det, nullspace_mod_p
 
-from reference_oracles import mat_mul
+from reference_oracles import det_by_leibniz, mat_mul, nullspace_mod_p_by_rref
 
 
 def _random_matrix(field, n, rng):
@@ -56,6 +56,18 @@ def test_det_refuses_non_square_and_mixed_field_matrices(shape):
 
 
 # GF(37^2) has no addition table, so it takes the digit-wise addition route
+@settings(max_examples=120, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 37]), data=st.data())
+def test_det_enc_matches_leibniz(p, data):
+    """det_enc equals the permutation expansion on square matrices of size 0-4 over GF(p^2)."""
+    f = make_field(p, 1)
+    n = data.draw(st.integers(0, 4))
+    elem = st.integers(0, f.size - 1)
+    m = data.draw(st.lists(st.lists(elem, min_size=n, max_size=n), min_size=n, max_size=n))
+    assert det_enc(f, m) == det_by_leibniz(f, m)
+
+
+# GF(37^2) has no addition table, so it takes the digit-wise addition route
 @settings(max_examples=60, deadline=None)
 @given(pt=st.sampled_from([(2, 1), (3, 1), (2, 2), (5, 1), (37, 1)]), data=st.data())
 def test_mat_vec_matches_mat_mul(pt, data):
@@ -87,3 +99,21 @@ def test_nullspace_mod_p_refuses_zero_rows():
     # a matrix with no rows could have any number of columns: no right answer
     with pytest.raises(ValueError, match="no rows"):
         nullspace_mod_p([], 3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 7, 251]), data=st.data())
+def test_nullspace_mod_p_matches_rref_reference(p, data):
+    """The library's nullspace is the same list as the plain mod-p RREF route's."""
+    rows = data.draw(st.integers(1, 6))
+    cols = data.draw(st.integers(1, 6))
+    entry = st.integers(-3 * p, 3 * p)
+    m = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    assert nullspace_mod_p(m, p) == nullspace_mod_p_by_rref(m, p)
+
+
+def test_linalg_edges():
+    assert det_enc(make_field(3, 1), []) == 1  # the empty product
+    assert nullspace_mod_p([[]], 3) == []  # no columns, no free column
+    with pytest.raises(ValueError, match="^p = 4 is not prime$"):
+        nullspace_mod_p([[1]], 4)
