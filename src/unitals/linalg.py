@@ -1,10 +1,10 @@
 """Small dense linear algebra over a Field: determinants and GF(p) nullspaces.
 
-`_echelon` is the one Gaussian elimination, on integer encodings through the
-Field kernel.  `det_enc` reads the determinant off it (`mat_det` is its
-FieldElem façade); `nullspace_mod_p` runs it in GF(p^2), whose encodings
-0..p-1 are GF(p), for the value digits of `varieties`' packed value rows.
-Matrix-vector products run on encodings too (`Field.mat_vec_enc`).
+`_walk` is the one elimination, on integer encodings through the Field kernel:
+it reduces a nullspace basis row by row.  `det_enc` reads the determinant off
+it (`mat_det` is its FieldElem façade); `nullspace_mod_p` runs it in GF(p^2),
+whose encodings 0..p-1 are GF(p), for the value digits of `varieties`' packed
+value rows; `varieties.fit_hermitian_form` runs it on a point set's value rows.
 """
 
 from __future__ import annotations
@@ -12,34 +12,30 @@ from __future__ import annotations
 from .finite_field import Field, FieldElem, make_field
 
 
-def _echelon(field: Field, rows, ncols: int):
-    """Row echelon form of a matrix of encodings: (rows, pivot columns, signed pivot product).
+def _walk(field: Field, rows, ncols: int):
+    """The nullspace basis of a matrix of encodings and its signed pivot product: (basis, det).
 
-    Each pivot is scaled to 1 and cleared below; the product of the pivots
-    changes sign at each row swap, so it is the determinant of a square
-    matrix whose every row pivots.
+    The basis starts as the identity.  At each row, the lowest basis vector with a
+    nonzero value (`mat_vec_enc(basis, row)`) is the pivot: it leaves, and every
+    later vector loses its multiple of it.  So each survivor is 1 at its own column
+    and otherwise supported on eliminated columns below it: the RREF nullspace
+    basis.  The product of the pivot values, negated when a pivot leaves an odd
+    position, is the determinant of a square matrix whose every row pivots.  No
+    row is drawn once the basis is empty.
     """
     add, mul, neg = field.add_enc, field.mul_enc, field.neg_enc
-    rows = [list(r) for r in rows]
-    pivots = []
-    det = 1
-    for col in range(ncols):
-        rank = len(pivots)
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
+    basis = [[int(k == c) for k in range(ncols)] for c in range(ncols)]
+    det, rows = 1, iter(rows)
+    while basis and (row := next(rows, None)) is not None:
+        ws = field.mat_vec_enc(basis, row)
+        k = next((k for k, w in enumerate(ws) if w), None)
+        if k is None:
             continue
-        if piv != rank:
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            det = neg(det)
-        det = mul(det, rows[rank][col])
-        inv = field.inv_enc(rows[rank][col])
-        rows[rank] = [mul(x, inv) for x in rows[rank]]
-        for r in range(rank + 1, len(rows)):
-            f = neg(rows[r][col])
-            if f:
-                rows[r] = [add(a, mul(f, b)) for a, b in zip(rows[r], rows[rank])]
-        pivots.append(col)
-    return rows, pivots, det
+        pivot, scale = basis.pop(k), neg(field.inv_enc(ws[k]))
+        det = mul(det, neg(ws[k]) if k % 2 else ws[k])
+        basis[k:] = [[add(a, mul(c, b)) for a, b in zip(v, pivot)] if (c := mul(w, scale)) else v
+                     for v, w in zip(basis[k:], ws[k + 1:])]
+    return basis, det
 
 
 def mat_det(M) -> FieldElem:
@@ -51,9 +47,9 @@ def mat_det(M) -> FieldElem:
 
 
 def det_enc(field: Field, M) -> int:
-    """The determinant of a square matrix of encodings, by Gaussian elimination."""
-    _, pivots, det = _echelon(field, M, len(M))
-    return det if len(pivots) == len(M) else 0
+    """The determinant of a square matrix of encodings: 0 when a nullspace survives the walk."""
+    basis, det = _walk(field, M, len(M))
+    return 0 if basis else det
 
 
 def nullspace_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
@@ -65,14 +61,4 @@ def nullspace_mod_p(rows: list[list[int]], p: int) -> list[list[int]]:
     """
     if not rows:
         raise ValueError("nullspace of a matrix with no rows: column count unknown")
-    field, ncols = make_field(p, 1), len(rows[0])
-    work, pivots, _ = _echelon(field, [[x % p for x in row] for row in rows], ncols)
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        vec = [0] * ncols
-        vec[fc] = 1
-        # back-substitution: row r is zero left of its pivot, and vec is zero at columns not yet solved
-        for r in reversed(range(len(pivots))):
-            vec[pivots[r]] = field.neg_enc(field.mat_vec_enc((work[r],), vec)[0])
-        basis.append(vec)
-    return basis
+    return _walk(make_field(p, 1), ([x % p for x in row] for row in rows), len(rows[0]))[0]

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, reduce
 
 from .finite_field import Field, FieldElem, abs_trace, frobenius, is_square
-from .linalg import det_enc, nullspace_mod_p
+from .linalg import _walk, det_enc, nullspace_mod_p
 from .proj_geom import PointSet, _mask_of, _point_encs, _space
 
 _FIT_ENUM_LIMIT = 1 << 20
@@ -533,12 +533,12 @@ def fit_hermitian_form(S: PointSet) -> HermitianForm | None:
     x^dagger C x is GF(q)-linear in C, whose (n+1)^2 GF(q)-coordinates are C[i][i]
     and (a, b) with C[i][j] = a + b*e for i < j, e the field's generator (outside
     GF(q)).  At a point x the coordinate forms take the values N(x_i) and
-    Tr(g conj(x_i) x_j), g in (1, e).  Walking the points of S, the first basis
-    form with a nonzero value at x is the pivot and every other one loses its
-    multiple of it, so the basis drops by one; None once it is empty.  The first
-    nonsingular combination of the survivors, in lexicographic order over GF(q), is
-    certified to vanish on S (AssertionError if not) and returned; None if all are
-    singular.  ValueError on an empty set, on which every form vanishes.
+    Tr(g conj(x_i) x_j), g in (1, e).  `linalg._walk` reduces the identity basis
+    of the coordinate forms by these value rows, point by point, and stops drawing
+    points once the basis is empty: then None.  The first nonsingular combination
+    of the survivors, in lexicographic order over GF(q), is certified to vanish on
+    S (AssertionError if not) and returned; None if all are singular.  ValueError
+    on an empty set, on which every form vanishes.
     """
     if not S.members:
         raise ValueError("every form vanishes on the empty set; nothing to fit")
@@ -546,20 +546,15 @@ def fit_hermitian_form(S: PointSet) -> HermitianForm | None:
     add, mul, conj, dot = field.add_enc, field.mul_enc, field._conj, field.conj_dot_enc
     coords = [(i, j, g) for i, j in itertools.combinations_with_replacement(range(n1), 2)
               for g in ((1,) if i == j else (1, field.generator))]
-    basis = [[int(k == c) for k in range(len(coords))] for c in range(len(coords))]
     pts = [_space(S.n, field).points[i] for i in S.members]
-    for x in pts:
+
+    def values(x):  # in GF(q), so the walk's basis stays in GF(q), where conj is the identity
         ys = [mul(g, mul(conj[x[i]], x[j])) for i, j, g in coords]
-        vals = [y if i == j else add(y, conj[y]) for (i, j, _), y in zip(coords, ys)]
-        ws = [dot(v, vals) for v in basis]  # GF(q) coordinates: conj is the identity on them
-        k = next((k for k, w in enumerate(ws) if w), None)
-        if k is None:
-            continue
-        pivot, scale = basis.pop(k), field.neg_enc(field.inv_enc(ws.pop(k)))
-        basis = [[add(a, mul(c, b)) for a, b in zip(v, pivot)] if (c := mul(w, scale)) else v
-                 for v, w in zip(basis, ws)]
-        if not basis:
-            return None
+        return [y if i == j else add(y, conj[y]) for (i, j, _), y in zip(coords, ys)]
+
+    basis, _ = _walk(field, map(values, pts), len(coords))
+    if not basis:
+        return None
     # beyond one form's GF(q)-multiples: a nonsingular Hermitian curve meets each line in 1 or q + 1 points
     if len(basis) > 1 and S.n == 2 and max(_sections(S, 2)) > q + 1:
         return None

@@ -23,6 +23,7 @@ def test_deterministic_moduli():
     assert make_field(3, 1).modulus == (1, 0, 1)
     assert make_field(2, 2).modulus == (1, 0, 0, 1, 1)
     assert make_field(5, 1).modulus == (1, 1, 1)
+    assert repr(make_field(2, 2)) == "Field(p=2, t=2, modulus=(1, 0, 0, 1, 1))"
 
 
 def test_make_field_is_cached_and_validated():

@@ -44,6 +44,12 @@ def test_ring_elem_truth():
     assert r.elem((0, 0, 0, 2))  # only the X^3 coefficient, 2 mod 4
 
 
+def test_ring_reprs():
+    r = make_ring(make_field(2, 1), 3)
+    assert repr(r) == "GaloisRing(p=2, k=3, modulus=(1, 1, 1))"
+    assert repr(r.elem([3, 5])) == "GR(2^3,2):(3, 5)"
+
+
 def test_ring_validation():
     f = make_field(2, 1)
     with pytest.raises(ValueError):

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from unitals.finite_field import make_field
-from unitals.linalg import det_enc, mat_det, nullspace_mod_p
+from unitals.linalg import _walk, det_enc, mat_det, nullspace_mod_p
 
-from reference_oracles import det_by_leibniz, mat_mul, nullspace_mod_p_by_rref
+from reference_oracles import det_by_leibniz, mat_mul, nullspace_mod_p_by_rref, rank_enc
 
 
 def _random_matrix(field, n, rng):
@@ -117,3 +117,36 @@ def test_linalg_edges():
     assert nullspace_mod_p([[]], 3) == []  # no columns, no free column
     with pytest.raises(ValueError, match="^p = 4 is not prime$"):
         nullspace_mod_p([[1]], 4)
+    with pytest.raises(ValueError, match=r"^field size 257\^2 exceeds 65536$"):
+        nullspace_mod_p([[1]], 257)  # GF(257^2) is past the table bound
+
+
+# GF(37^2) has no addition table, so it takes the digit-wise addition route
+@settings(max_examples=150, deadline=None)
+@given(p=st.sampled_from([2, 3, 5, 37]), data=st.data())
+def test_walk_leaves_the_rref_nullspace_basis_over_gf_q2(p, data):
+    """Over GF(p^2) the survivors are killed by the matrix, ncols - rank of them, each 1 at its own column
+    (its highest nonzero one, ascending) and 0 at every other survivor's."""
+    f = make_field(p, 1)
+    rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(0, f.size - 1))
+    m = data.draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    basis, _ = _walk(f, m, cols)
+    assert len(basis) == cols - rank_enc(f, m)
+    own = [max(c for c in range(cols) if v[c]) for v in basis]
+    assert own == sorted(set(own))
+    for v, c in zip(basis, own):
+        assert not any(f.mat_vec_enc(m, v))
+        assert v[c] == 1 and not any(v[d] for d in own if d != c)
+
+
+def test_walk_draws_no_row_once_the_basis_is_empty():
+    f = make_field(3, 1)
+
+    def rows(*drawable):
+        yield from drawable
+        raise AssertionError("a row was drawn after the basis emptied")
+
+    # the zero row pivots nothing, [0, 2] pivots at odd position 1, [1, 1] empties the basis: det = -2
+    assert _walk(f, rows([0, 0], [0, 2], [1, 1]), 2) == ([], f.neg_enc(2))
+    assert _walk(f, rows(), 0) == ([], 1)

@@ -622,6 +622,28 @@ def _count_det_calls(monkeypatch):
     return calls
 
 
+def test_fit_stops_drawing_points_once_no_form_is_left(monkeypatch):
+    """At q = 4 the walk empties its basis before the last of the 65 points of every B-M unital with a != 0."""
+    from unitals import varieties
+
+    walk, drawn = varieties._walk, []
+
+    def counting(field, rows, ncols):
+        def counted():
+            for row in rows:
+                drawn[-1] += 1
+                yield row
+
+        drawn.append(0)
+        return walk(field, counted(), ncols)
+
+    monkeypatch.setattr(varieties, "_walk", counting)
+    for params in all_valid_bm_params(field_for_q(4)):
+        form = fit_hermitian_form(bm_unital(params))
+        assert (form is None) == bool(params.a.enc)
+        assert drawn[-1] < 65 if params.a.enc else drawn[-1] == 65
+
+
 def test_fit_scans_gf_q_for_a_nonsingular_form_through_two_points(monkeypatch):
     """Two points of PG(2, 4) leave 7 of the 9 GF(2)-coordinates; the scan finds a nonsingular form on both."""
     f = field_for_q(2)
