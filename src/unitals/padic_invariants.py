@@ -21,13 +21,20 @@ is sum_j max(0, r - s_j); the constant monomial contributes exponent 0.  The
 independent trust anchor is snf_valuation_multiset, an elimination over Z/p^k
 that never reads the formula.  It is exact: divisors of valuation below k are
 found exactly, and k doubles until all min(rows, cols) are found or p^k passes
-the Hadamard bound, beyond which no nonzero divisor can lie.
+the Hadamard bound, beyond which no nonzero divisor can lie.  It eliminates
+the matrix or, when that is tall, its transpose (the same divisors), with each
+row packed into one int of fixed-width slots, one slot per column: a row
+operation is one big-integer multiply-add, and slots are reduced mod p^k only
+when a row is read, with a width that no carry can cross.
 """
 
 from __future__ import annotations
 
+import array
 import itertools
 import math
+import operator
+import sys
 from typing import NamedTuple
 
 from .finite_field import Field, is_prime
@@ -142,7 +149,7 @@ def snf_valuation_multiset(matrix, p: int) -> tuple[int, ...]:
     p^(2k) exceeds the product H^2 of the squared norms of the min(rows, cols)
     largest rows: a nonzero divisor divides a nonzero minor, whose absolute
     value is at most H (Hadamard), so none has valuation k or more.  Otherwise
-    k doubles.
+    k doubles.  Ragged rows and entries that are not ints raise ValueError.
     """
     return _snf_certified(matrix, p)[0]
 
@@ -151,9 +158,15 @@ def _snf_certified(matrix, p: int) -> tuple[tuple[int, ...], int]:
     """(snf_valuation_multiset(matrix, p), the k whose modulus p^k certified it); p must be prime."""
     if not is_prime(p):
         raise ValueError(f"p = {p} is not a prime")
+    width = len(matrix[0]) if matrix else 0
+    for row in matrix:
+        if len(row) != width:
+            raise ValueError(f"matrix rows have {width} and {len(row)} entries")
+        if not all(map(isinstance, row, itertools.repeat(int))):
+            raise ValueError("matrix entries must be integers")
     rows = [row for row in matrix if any(row)]
-    full_rank = min(len(rows), len(rows[0])) if rows else 0
-    hadamard_sq = math.prod(sorted((sum(x * x for x in row) for row in rows), reverse=True)[:full_rank])
+    full_rank = min(len(rows), width)
+    hadamard_sq = math.prod(sorted((sum(map(operator.mul, row, row)) for row in rows), reverse=True)[:full_rank])
     k = _SNF_START_K
     while True:
         vals = _snf_mod_pk(rows, p, k)
@@ -162,38 +175,81 @@ def _snf_certified(matrix, p: int) -> tuple[tuple[int, ...], int]:
         k *= 2
 
 
+# Native array and memoryview formats of the slot widths (bytes) that pack and unpack in one call.
+_SLOT_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
 def _snf_mod_pk(matrix, p: int, k: int) -> tuple[int, ...]:
     """Sorted valuations below k of the elementary divisors, over Z/p^k.
 
-    Each step pivots on an entry p^v * u (u a unit) of minimal valuation v,
-    clears its column with factor (x // p^v) * u^-1 mod p^(k-v), then drops
-    the pivot row, the pivot column and any row that became zero.
+    Each step pivots on the first entry, in row order, of least valuation v;
+    the entry is p^v * u with u a unit.  Every other row R then loses f times
+    the pivot row, where f = (R's entry // p^v) * u^-1 mod p^(k-v); rows that
+    are 0 mod M = p^k drop out.  A tall matrix is transposed first, which
+    keeps its elementary divisors.  A row with no entry of valuation v gets a
+    factor f divisible by p, so it never gains one: the search for the next
+    pivot of valuation v resumes where the last one was found.
+
+    Each row is one int with a slot of fixed width per column, and a row
+    operation is R += (M - f) * P, with P the pivot row reduced mod M once.
+    Slots start in [0, M), each operation adds (M - f) * P_j < M^2 to a
+    slot, and no row meets more operations than there are pivots, at most
+    min(rows, cols).  So a slot stays below M + min(rows, cols) * M^2 and no
+    carry crosses into the next; slots are reduced mod M only when a row is
+    read, whole to find a pivot, or one entry for its pivot column.
     """
     M = p**k
-    rows = [r for r in ([x % M for x in row] for row in matrix) if any(r)]
+    rows = [[x % M for x in row] for row in matrix]
+    if rows and len(rows) > len(rows[0]):
+        rows = list(zip(*rows))
+    if not rows:
+        return ()
+    ncols = len(rows[0])
+    width = -(-(M + min(len(rows), ncols) * M * M).bit_length() // 8)
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()  # 1, 2, 4 or 8 bytes
+    fmt, order, nbytes = _SLOT_FORMATS.get(width), sys.byteorder, ncols * width
+    shift, mask = 8 * width, (1 << 8 * width) - 1
+
+    def pack(entries) -> int:
+        if fmt:
+            return int.from_bytes(array.array(fmt, entries).tobytes(), order)
+        return int.from_bytes(b"".join(x.to_bytes(width, order) for x in entries), order)
+
+    def unpack(row: int) -> list[int]:
+        data = row.to_bytes(nbytes, order)
+        if fmt:
+            return [x % M for x in memoryview(data).cast(fmt)]
+        return [int.from_bytes(data[s : s + width], order) % M for s in range(0, nbytes, width)]
+
+    live = [row for row in map(pack, rows) if row]
     vals = []
     v, pv = 0, 1  # every live entry is divisible by pv = p^v
-    while rows:
+    i = 0  # no row before live[i] has an entry of valuation v, nor can it gain one
+    while live:
         pv1 = pv * p
-        pivot = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x % pv1), None)
-        if pivot is None:
-            v, pv = v + 1, pv1
+        while i < len(live):
+            entries = unpack(live[i])
+            j = next((j for j, x in enumerate(entries) if x % pv1), None)
+            if j is not None:
+                break
+            if any(entries):
+                i += 1
+            else:
+                del live[i]
+        else:
+            v, pv, i = v + 1, pv1, 0
             continue
-        i, j = pivot
-        prow = rows.pop(i)
+        del live[i]
+        P = pack(entries)
         mod = M // pv
-        inv = pow(prow.pop(j) // pv, -1, mod)
+        inv = pow(entries[j] // pv, -1, mod)
         vals.append(v)
-        live = []
-        for row in rows:
-            x = row.pop(j)
+        s = j * shift
+        for t, row in enumerate(live):
+            x = (row >> s & mask) % M
             if x:
-                f = (x // pv) * inv % mod
-                row = [(a - f * b) % M for a, b in zip(row, prow)]
-                if not any(row):
-                    continue
-            live.append(row)
-        rows = live
+                live[t] = row + (M - (x // pv) * inv % mod) * P
     return tuple(vals)
 
 

@@ -206,6 +206,42 @@ def nullspace_mod_p_by_rref(rows: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
+def snf_mod_pk_by_rows(matrix, p: int, k: int) -> tuple[int, ...]:
+    """Sorted valuations below k of the elementary divisors, over Z/p^k, on row lists.
+
+    Each step pivots on an entry p^v * u (u a unit) of minimal valuation v,
+    clears its column with factor (x // p^v) * u^-1 mod p^(k-v), then drops
+    the pivot row, the pivot column and any row that became zero.  Every
+    entry is reduced mod p^k after every row operation.
+    """
+    M = p**k
+    rows = [r for r in ([x % M for x in row] for row in matrix) if any(r)]
+    vals = []
+    v, pv = 0, 1  # every live entry is divisible by pv = p^v
+    while rows:
+        pv1 = pv * p
+        pivot = next(((i, j) for i, row in enumerate(rows) for j, x in enumerate(row) if x % pv1), None)
+        if pivot is None:
+            v, pv = v + 1, pv1
+            continue
+        i, j = pivot
+        prow = rows.pop(i)
+        mod = M // pv
+        inv = pow(prow.pop(j) // pv, -1, mod)
+        vals.append(v)
+        live = []
+        for row in rows:
+            x = row.pop(j)
+            if x:
+                f = (x // pv) * inv % mod
+                row = [(a - f * b) % M for a, b in zip(row, prow)]
+                if not any(row):
+                    continue
+            live.append(row)
+        rows = live
+    return tuple(vals)
+
+
 def subfield_gfp_basis(field: Field) -> list[int]:
     """Encodings of a GF(p)-basis of GF(q) inside GF(q^2), greedy over ascending encodings.
 

@@ -5,8 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from reference_oracles import snf_mod_pk_by_rows
 from unitals.finite_field import field_for_q, make_field
 from unitals.padic_invariants import (
+    _snf_mod_pk,
     digit_sum,
     enum_basis_monomials,
     invariant_exponent,
@@ -148,6 +150,22 @@ def test_snf_small_matrices():
     assert snf_valuation_multiset([[3, 0], [0, 5]], 2) == (0, 0)
 
 
+@pytest.mark.parametrize(
+    "matrix,message",
+    [
+        ([[1, 0], [0]], "matrix rows have 2 and 1 entries"),
+        ([[2, 1], [1]], "matrix rows have 2 and 1 entries"),
+        ([[0, 0], [0, 0, 0]], "matrix rows have 2 and 3 entries"),
+        ([[1, 0], [0, 1.0]], "matrix entries must be integers"),
+        ([[1, "2"]], "matrix entries must be integers"),
+    ],
+)
+def test_snf_refuses_a_malformed_matrix(matrix, message):
+    """Ragged rows would be cut short by packing and transposition; a float is not exact."""
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        snf_valuation_multiset(matrix, 2)
+
+
 @pytest.mark.parametrize("p", [0, 1, 4, -3])
 def test_snf_refuses_a_modulus_that_is_not_prime(p):
     """Valuations are p-adic only for a prime p; at p = 1 the doubling of k would never end."""
@@ -201,6 +219,48 @@ def test_snf_matches_fraction_reference(case):
     assert snf_valuation_multiset(rows, p) == _fraction_snf(rows, p)
 
 
+@st.composite
+def _packed_cases(draw):
+    """(p, k, rows), up to 24 x 24, tall or wide, rows scaled by p^e for e up to k + 1.
+
+    The (p, k) pairs give every slot width of _snf_mod_pk: 1 byte (k = 1),
+    2 bytes (k = 3 at p = 3), 4 bytes (k = 3 at p = 7, k = 8 at p <= 3),
+    8 bytes (k = 8 at p >= 5, k = 16 at p <= 3) and wider (k = 16 at p >= 5,
+    k = 40).
+    """
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    k = draw(st.sampled_from([1, 3, 8, 16, 40]))
+    n_rows = draw(st.integers(1, 24))
+    n_cols = draw(st.integers(1, 24))
+    entry = st.integers(-(p**3), p**3)
+    rows = []
+    for _ in range(n_rows):
+        kind = draw(st.sampled_from(["fresh", "fresh", "scaled", "zero", "combination"]))
+        if kind == "zero":
+            rows.append([0] * n_cols)
+        elif kind == "combination" and rows:  # a dependent row
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c, d = draw(entry), draw(entry)
+            rows.append([c * x + d * y for x, y in zip(a, b)])
+        else:
+            e = draw(st.integers(0, k + 1)) if kind == "scaled" else 0
+            rows.append([p**e * x for x in draw(st.lists(entry, min_size=n_cols, max_size=n_cols))])
+    return p, k, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_packed_cases(), data=st.data())
+def test_packed_snf_matches_row_list_elimination(case, data):
+    """Packed rows give the row-list answer; transposing or permuting the matrix changes nothing."""
+    p, k, rows = case
+    expected = snf_mod_pk_by_rows(rows, p, k)
+    assert _snf_mod_pk(rows, p, k) == expected
+    assert _snf_mod_pk([list(col) for col in zip(*rows)], p, k) == expected
+    row_order = data.draw(st.permutations(range(len(rows))))
+    col_order = data.draw(st.permutations(range(len(rows[0]))))
+    assert _snf_mod_pk([[rows[i][j] for j in col_order] for i in row_order], p, k) == expected
+
+
 @pytest.mark.parametrize(
     "q,expected",
     [(2, {0: 10, 1: 2, 2: 9}), (3, {0: 37, 1: 18, 2: 36})],
@@ -224,9 +284,8 @@ def test_snf_matches_type_formula(q, expected):
     assert dict(formula) == expected
 
 
-@pytest.mark.slow
 def test_snf_matches_type_formula_pg_2_25():
-    """The 651 x 651 line-point incidence matrix of PG(2,25), about 15 s."""
+    """The 651 x 651 line-point incidence matrix of PG(2,25), about 1.5 s."""
     f = field_for_q(5)
     vals = snf_valuation_multiset(incidence_matrix(2, 2, f).to_dense(), f.p)
     formula = sorted(monomial_invariant_exponent(m, f.p, f.t, 2) for m in enum_basis_monomials(2, f))
