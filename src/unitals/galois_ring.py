@@ -11,11 +11,14 @@ obeys the truncated additivity T(a+b) = (T(a)+T(b))^(q^l) mod q^l.
 herm_char_value evaluates the ring-side characteristic function of the
 complement of the standard Hermitian variety sum(x_i^(q+1)) = 0:
     (sum_i T(x_i)^(q+1))^(q^(2l+1) - q^(2l))  =  0 or 1  (mod q^(2l))
-according as the point lies on or off the variety.  The function is memoised
-exactly, on its ring: T(x)^(q+1) once per field element, and the final power
-once per (l, coefficient tuple of the norm sum mod p^k).  The exponent is
-fixed by q and l, and a ring element by its reduced coefficients, so a hit
-returns the very element that a fresh power would; a point costs additions.
+according as the point lies on or off the variety.  The lifted norms come
+from one lift per ring, T(g) of the field's generator g: T(g^i)^(q+1) is
+T(g)^((q+1)i), which depends on i mod q - 1 only, so the q distinct norms
+(0 and the powers of T(g)^(q+1)) get small ids, and every field encoding its
+id.  The final power is memoised exactly, on its ring, once per (l, ids of
+the coordinates) and once per (l, coefficient tuple of the norm sum mod p^k).
+The exponent is fixed by q and l, and a ring element by its reduced
+coefficients, so a hit returns the very element that a fresh power would.
 """
 
 from __future__ import annotations
@@ -90,6 +93,8 @@ class GaloisRingElem:
     def congruent_mod(self, other: GaloisRingElem, p_exponent: int) -> bool:
         """Equality of coefficients mod p^p_exponent."""
         other = self._check(other)
+        if p_exponent < 0:
+            raise ValueError("negative precision")
         if p_exponent > self.ring.k:
             raise ValueError("precision exceeds the ring's")
         m = self.ring.p**p_exponent
@@ -125,14 +130,17 @@ class GaloisRing:
         self.zero = self.elem(())
         self.one = self.elem((1,))
         self.gen = self.elem((0, 1))  # X; the field degree 2t is at least 2
-        # herm_char_value memo: x.enc -> T(x)^(q+1); (ell, acc.coeffs) -> acc^E
-        self._norm: dict[int, GaloisRingElem] = {}
+        # herm_char_value memos: (ell, norm ids of a point) and (ell, acc.coeffs) -> acc^E
+        self._norms: tuple[tuple[int, ...], tuple[tuple[int, ...], ...]] | None = None
+        self._by_ids: dict[tuple[int, ...], GaloisRingElem] = {}
         self._char: dict[tuple[int, tuple[int, ...]], GaloisRingElem] = {}
 
     def elem(self, coeffs) -> GaloisRingElem:
         coeffs = list(coeffs)
         if len(coeffs) > self.degree:
             raise ValueError("too many coefficients")
+        if not all(isinstance(c, int) for c in coeffs):
+            raise ValueError("ring coefficients must be ints")
         coeffs += [0] * (self.degree - len(coeffs))
         return GaloisRingElem(self, tuple(c % self.pk for c in coeffs))
 
@@ -151,6 +159,32 @@ class GaloisRing:
             raise AssertionError("Hensel iteration failed to converge")
         assert y.to_field() == x
         return y
+
+    def norm_table(self) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+        """(ids, values): ids[x.enc] names T(x)^(q+1), whose coefficients are values[id].
+
+        Built once per ring from the one lift T(g) of the field's generator g,
+        certified by T(g)^(Q-1) = 1 and T(g) = g mod p: a unit of order
+        dividing Q - 1 that reduces to g is the Teichmüller lift, so
+        T(g^i)^(q+1) = w^(i mod q-1) with w = T(g)^(q+1).  Id 0 is the zero
+        norm and id m + 1 is w^m.  Every entry is checked to reduce to x^(q+1).
+        """
+        if self._norms is None:
+            field = self.field
+            q, order = field.q, field.size - 1
+            tg = self.teichmuller(field.gen)
+            if tg ** order != self.one or tg.to_field() != field.gen:
+                raise AssertionError("Teichmüller lift of the generator fails its certificate")
+            w = tg ** (q + 1)
+            norms = [self.zero, self.one]
+            for _ in range(q - 2):
+                norms.append(norms[-1] * w)
+            ids = (0, *(field._log[x] % (q - 1) + 1 for x in range(1, field.size)))
+            reduced = [y.to_field().enc for y in norms]
+            if any(reduced[ids[x]] != field.pow_enc(x, q + 1) for x in range(field.size)):
+                raise AssertionError("lifted norm does not reduce to the field norm")
+            self._norms = ids, tuple(y.coeffs for y in norms)
+        return self._norms
 
     def __repr__(self):
         return f"GaloisRing(p={self.p}, k={self.k}, modulus={self.modulus})"
@@ -189,9 +223,10 @@ def herm_char_value(ring: GaloisRing, point, ell: int) -> GaloisRingElem:
     """(sum_i T(x_i)^(q+1))^(q^(2l+1) - q^(2l)) in the ring.
 
     Needs ring precision k >= 2*t*l so that arithmetic mod q^(2l) is faithful.
-    The lifted norms and the final power are memoised on the ring, the power
-    keyed by (ell, exact coefficients of the sum); the result is the same
-    element the uncached evaluation gives, and the guard runs before any lookup.
+    The point is read as its coordinates' norm ids (GaloisRing.norm_table);
+    the power is memoised on the ring by (ell, ids) and, behind that, by
+    (ell, exact coefficients of the sum).  The result is the same element the
+    uncached evaluation gives, and the guards run before any lookup.
     """
     field = ring.field
     if ell < 1:
@@ -200,17 +235,22 @@ def herm_char_value(ring: GaloisRing, point, ell: int) -> GaloisRingElem:
         raise ValueError(
             f"ring precision k = {ring.k} < 2*t*ell = {2 * field.t * ell}"
         )
-    q = field.q
-    acc = ring.zero
+    ids, values = ring.norm_table()
+    key = [ell]
     for x in point:
         if x.field is not field:
             raise ValueError("element does not belong to the companion field")
-        norm = ring._norm.get(x.enc)
-        if norm is None:
-            norm = ring._norm[x.enc] = ring.teichmuller(x) ** (q + 1)
-        acc = acc + norm
-    key = (ell, acc.coeffs)
-    val = ring._char.get(key)
+        key.append(ids[x.enc])
+    if not any(key[1:]):  # id 0 is the norm of 0 alone
+        raise ValueError("the zero vector is no projective point")
+    key = tuple(key)
+    val = ring._by_ids.get(key)
     if val is None:
-        val = ring._char[key] = acc ** (q ** (2 * ell + 1) - q ** (2 * ell))
+        pk = ring.pk
+        acc = tuple(sum(c) % pk for c in zip(*(values[i] for i in key[1:])))
+        val = ring._char.get((ell, acc))
+        if val is None:
+            q = field.q
+            val = ring._char[ell, acc] = GaloisRingElem(ring, acc) ** (q ** (2 * ell + 1) - q ** (2 * ell))
+        ring._by_ids[key] = val
     return val

@@ -332,6 +332,21 @@ def _stall_hensel(monkeypatch):
     monkeypatch.setattr(GaloisRingElem, "__eq__", lambda self, other: False)
 
 
+def _skew_lift(monkeypatch):
+    from unitals import cli
+
+    build = cli.make_ring
+
+    # the ring's own lifts come out as (1 + p) T(x): still x mod p, but no longer of order dividing Q - 1
+    def skewed(field, k):
+        ring = build(field, k)
+        lift = ring.teichmuller
+        ring.teichmuller = lambda x: lift(x) * ring.elem((1 + ring.p,))
+        return ring
+
+    monkeypatch.setattr(cli, "make_ring", skewed)
+
+
 def _drop_bm_point(monkeypatch):
     from unitals import census
     from unitals.proj_geom import PointSet
@@ -400,6 +415,10 @@ INTERNAL_ERRORS = {
     ),
     "hensel convergence": (
         _stall_hensel, ["charfn-check", "--q", "2"], "AssertionError: Hensel iteration failed to converge",
+    ),
+    "norm table certificate": (
+        _skew_lift, ["charfn-check", "--q", "2"],
+        "AssertionError: Teichmüller lift of the generator fails its certificate",
     ),
 }
 
@@ -690,6 +709,21 @@ def test_charfn_check_report_bytes(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "84074f61cbe65d99e6983bc542eafe8cfbc7725c80cf1170a9beaa838289e1c9"
+
+
+# sha256 of `charfn-check --q N` stdout at the benchmark's own inputs
+CHARFN_DIGESTS = {
+    7: "e93490cc587b43ffd276a023dc5f929c9ea20cdd12ff4af85c3a0d81eb35f7ae",
+    8: "bed43a9691658ba38d0d6c6c0c595caf628ba8f9456b9d8f790edfbcc9cfc556",
+    9: "08e9f6d23332c1c0a31bda332c0c85843eb9a437b4f2f22c91539860563013e6",
+}
+
+
+@pytest.mark.parametrize("q", sorted(CHARFN_DIGESTS))
+def test_charfn_check_report_bytes_benchmark_inputs(capsys, q):
+    code, out, _ = run(capsys, "charfn-check", "--q", str(q))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHARFN_DIGESTS[q]
 
 
 # (exit code, stdout, stderr) of `field-info --q <key>`: a field, and a q that names none

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from unitals.finite_field import field_for_q, make_field, norm_q
@@ -35,6 +37,22 @@ def test_ring_arithmetic_basics():
         a.congruent_mod(b, 4)  # the ring holds 2^3
     with pytest.raises(ValueError):
         r.elem([1, 2, 3])
+
+
+def test_congruent_mod_refuses_negative_precision():
+    r = make_ring(make_field(2, 1), 3)
+    a = r.elem([3, 5])
+    with pytest.raises(ValueError, match="negative precision"):
+        a.congruent_mod(a, -1)  # p^-1 would be a float modulus
+    assert a.congruent_mod(r.elem([1, 0]), 0)  # everything agrees mod p^0
+
+
+def test_elem_refuses_non_int_coefficients():
+    r = make_ring(field_for_q(3), 2)
+    for bad in ((1.5,), (0, 2.0), ("1",)):
+        with pytest.raises(ValueError, match="ring coefficients must be ints"):
+            r.elem(bad)
+    assert r.elem((-1, 10)).coeffs == (8, 1)
 
 
 def test_ring_elem_truth():
@@ -182,6 +200,45 @@ def test_herm_char_value_memo_interleaved(q):
             got = herm_char_value(ring, pt, ell)
             want = herm_char_value_uncached(ring, pt, ell)
             assert got.ring is ring and got.coeffs == want.coeffs
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_norm_table_is_the_lifted_norms(q):
+    """The table read off T(g) holds T(x)^(q+1), lifted one element at a time, for every x."""
+    f = field_for_q(q)
+    r = make_ring(f, 2 * f.t)
+    ids, values = r.norm_table()
+    assert len(ids) == f.size and len(values) == q == len(set(values))
+    for x in f.elements:
+        assert values[ids[x.enc]] == (r.teichmuller(x) ** (q + 1)).coeffs
+
+
+def test_charfn_pass_lifts_once_per_ring(monkeypatch):
+    """A full pass over PG(2, 81) makes one lift on the scratch ring of make_ring and one on the ring."""
+    counts = Counter()
+    lift = GaloisRing.teichmuller
+
+    def counted(ring, x):
+        counts[ring] += 1
+        return lift(ring, x)
+
+    monkeypatch.setattr(GaloisRing, "teichmuller", counted)
+    f = field_for_q(9)
+    r = make_ring(f, 2 * f.t)
+    for pt in enum_points(2, f):
+        herm_char_value(r, pt, 1)
+    assert counts[r] == 1
+    assert sorted(counts.values()) == [1, 1]
+
+
+def test_herm_char_value_refuses_the_zero_vector():
+    f = field_for_q(3)
+    r = make_ring(f, 2)
+    with pytest.raises(ValueError, match="no projective point"):
+        herm_char_value(r, (f.zero, f.zero, f.zero), 1)
+    with pytest.raises(ValueError, match="no projective point"):
+        herm_char_value(r, (), 1)
+    assert herm_char_value(r, (f.zero, f.zero, f.one), 1) == r.one
 
 
 def test_make_ring_precision_bound():
