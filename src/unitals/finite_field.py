@@ -250,7 +250,7 @@ class Field:
             self.add_enc = lambda a, b: table[a][b]
         else:
             self.add_enc = self._add_digits
-        self._neg_table = [self._neg_digits(a) for a in range(self.size)]
+        self._neg_table = [self.mul_enc(a, self.p - 1) for a in range(self.size)]  # p - 1 encodes -1
 
     def _add_digits(self, a: int, b: int) -> int:
         p = self.p
@@ -260,16 +260,6 @@ class Field:
             out += ((a + b) % p) * shift
             a //= p
             b //= p
-            shift *= p
-        return out
-
-    def _neg_digits(self, a: int) -> int:
-        p = self.p
-        out = 0
-        shift = 1
-        while a:
-            out += (-a % p) * shift
-            a //= p
             shift *= p
         return out
 
@@ -342,10 +332,7 @@ class Field:
     def frob_enc(self, a: int, k: int) -> int:
         if k < 0:
             raise ValueError("frobenius power must be >= 0")
-        if a == 0:
-            return 0
-        n = self.size - 1
-        return self._exp[(self._log[a] * pow(self.p, k, n)) % n]
+        return self.pow_enc(a, pow(self.p, k, self.size - 1))  # p^k mod (size - 1) is never 0
 
     # -- element-level API ----------------------------------------------------
 

@@ -50,11 +50,7 @@ class GaloisRingElem:
         )
 
     def __sub__(self, other):
-        other = self._check(other)
-        pk = self.ring.pk
-        return GaloisRingElem(
-            self.ring, tuple((a - b) % pk for a, b in zip(self.coeffs, other.coeffs))
-        )
+        return self + -self._check(other)
 
     def __neg__(self):
         pk = self.ring.pk

@@ -45,6 +45,8 @@ def digit_sum(u: int, p: int) -> int:
     """sigma_p(u): sum of base-p digits."""
     if u < 0:
         raise ValueError("digit_sum needs u >= 0")
+    if p < 2:
+        raise ValueError(f"digit_sum needs a base p >= 2, not {p}")
     s = 0
     while u:
         s += u % p
@@ -56,6 +58,8 @@ def val_p(u: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
     if u == 0:
         raise ValueError("v_p(0) is not defined")
+    if p < 2:
+        raise ValueError(f"v_p needs p >= 2, not {p}")
     u = abs(u)
     v = 0
     while u % p == 0:

@@ -36,6 +36,7 @@ coordinate, and its index is read off after scaling by 1 / leading coordinate.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from operator import add, itemgetter
@@ -298,7 +299,8 @@ class PointSet:
         return len(self.members)
 
     def __contains__(self, idx: int) -> bool:
-        return idx >= 0 and bool(self.mask >> idx & 1)
+        i = bisect_left(self.members, idx)  # O(log n), and the mask is never built
+        return i < len(self.members) and self.members[i] == idx
 
     @cached_property
     def mask(self) -> int:

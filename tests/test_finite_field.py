@@ -232,3 +232,18 @@ def test_row_kernels_match_add_and_mul(pt, data):
     x = data.draw(st.integers(0, f.size - 1))
     coeffs = [0] + [f.pow_enc(f.generator, e) for e in range(f.size - 1)]
     assert f.multiples_enc(x) == [f.mul_enc(c, x) for c in coeffs]
+
+
+@pytest.mark.parametrize("p,t", KERNEL_FIELDS)
+def test_neg_enc_is_the_additive_inverse(p, t):
+    """a + (-a) = 0 by digit addition for every a, also where there is no addition table."""
+    f = make_field(p, t)
+    assert all(f._add_digits(a, f.neg_enc(a)) == 0 for a in range(f.size))
+
+
+@pytest.mark.parametrize("p,t", KERNEL_FIELDS)
+def test_frob_enc_matches_slow_power(p, t):
+    """frob_enc(a, k) = a^(p^k) by polynomial arithmetic, for k = 0..2t and a spread of a with 0."""
+    f = make_field(p, t)
+    for a in sorted({0, 1, f.generator, f.size - 1, *range(0, f.size, max(1, f.size // 17))}):
+        assert [f.frob_enc(a, k) for k in range(2 * t + 1)] == [f._pow_slow(a, p**k) for k in range(2 * t + 1)]

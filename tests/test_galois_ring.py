@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 
 import pytest
@@ -37,6 +38,24 @@ def test_ring_arithmetic_basics():
         a.congruent_mod(b, 4)  # the ring holds 2^3
     with pytest.raises(ValueError):
         r.elem([1, 2, 3])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_ring_subtraction_adds_the_negation(q):
+    f = field_for_q(q)
+    r = make_ring(f, 2 * f.t)
+    rng = random.Random(q)
+    for _ in range(50):
+        a, b = (r.elem([rng.randrange(r.pk) for _ in range(r.degree)]) for _ in range(2))
+        assert a - b == a + (-b)
+        assert (a - b).coeffs == tuple((x - y) % r.pk for x, y in zip(a.coeffs, b.coeffs))
+
+
+def test_ring_subtraction_refuses_mixed_rings():
+    a = make_ring(make_field(2, 1), 3).one
+    for other in (make_ring(make_field(3, 1), 2).one, make_ring(make_field(2, 1), 2).one):
+        with pytest.raises(ValueError, match="mixed-ring operands"):
+            a - other
 
 
 def test_congruent_mod_refuses_negative_precision():

@@ -65,6 +65,12 @@ def test_digit_sum_and_val():
     assert val_p(7, 5) == 0
     with pytest.raises(ValueError):
         val_p(0, 3)
+    # a base below 2 would loop forever (p = 1), divide by zero (p = 0) or give a negative sum
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError, match="p >= 2"):
+            digit_sum(8, p)
+        with pytest.raises(ValueError, match="p >= 2"):
+            val_p(8, p)
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -231,6 +231,18 @@ def test_pointset_basics():
         intersect_size(s, PointSet.of(2, make_field(3, 1), [0]))
 
 
+def test_pointset_membership_is_a_search_of_members():
+    """`in` agrees with the member tuple on every index, -1 and count included, and builds no mask."""
+    from unitals.varieties import HermitianForm, all_valid_bm_params, bm_unital, hermitian_variety
+
+    f4, f3 = field_for_q(4), field_for_q(3)
+    for src in (hermitian_variety(HermitianForm.identity(2, f4)), bm_unital(all_valid_bm_params(f3)[0])):
+        s = PointSet(src.n, src.field, src.members)  # fresh, so no cached mask
+        members, count = set(s.members), _space(s.n, s.field).count
+        assert [i in s for i in range(-1, count + 1)] == [i in members for i in range(-1, count + 1)]
+        assert "mask" not in s.__dict__
+
+
 def test_pointset_json_round_trip():
     f = make_field(3, 1)
     s = PointSet.of(2, f, [0, 4, 17, 88])
