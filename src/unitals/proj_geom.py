@@ -25,6 +25,10 @@ are taken from one tuple of the point indices, so it holds one int object per
 point, not one per incidence.  A table whose subspaces times points would pass
 MAX_MASK_BITS is refused before it is built.  Incidence rows are bit-packed
 into Python integers; popcounts of mask ANDs are the fast intersection path.
+Only one mask per pivot pattern and fill of the rows below row 0 is built
+point by point: adding to row 0 translates its block of points, so each other
+mask is its neighbour's with one digit's bit groups rotated (see
+`_Space.subspace_masks`).
 
 A collineation x -> Mx maps a set through column tables: for each column j,
 the vectors c*M[:, j] for every c in `Field.multiples_enc` order (0, g^0, ...),
@@ -198,7 +202,54 @@ class _Space:
 
     @cache
     def subspace_masks(self, r: int) -> tuple[int, ...]:
-        return tuple(_mask_of(ids) for ids in self.subspace_point_indices(r))
+        """The subspaces' point masks, in enumeration order.  Per pivot pattern and fill of rows
+        1..r-1, only the subspace whose row 0 is zero past the pivots is masked point by point; a
+        Gray walk over row 0's base-p digits gives the others.  Bumping digit d of row 0's entry j
+        moves coordinate j of every point of block 0 (row 0 + span of the later rows, the indices
+        [offsets[p_0], offsets[p_0] + Q^(n - p_0))), which rotates that range's bits in groups of
+        width s = Q^(n-j) * p^d: positions L whose digit is below p - 1 move up by s, positions H
+        whose digit is p - 1 down by (p - 1) * s.  The later blocks stay put."""
+        table, n, p, Q = self.subspace_point_indices(r), self.n, self.field.p, self.field.size
+        e, out, start = 2 * self.field.t, [0] * len(table), 0
+        for pivots, free, _ in self._rref(r):
+            cols = [j for i, j in free if i == 0]
+            width, off = Q ** (n - pivots[0]), self._offsets[pivots[0]]
+            block0 = ((1 << width) - 1) << off
+            # Per base-p digit k of row 0's entries read as one number N in enumeration order (digit
+            # k % e of entry cols[-1 - k // e]): (L, H, s, (p - 1) * s).  Row 0's fill N puts a
+            # subspace at start + N * inner + (its fill of the later rows).
+            moves = []
+            for k in range(len(cols) * e):
+                s = Q ** (n - cols[-1 - k // e]) * p ** (k % e)
+                ones = ((1 << width) - 1) // ((1 << p * s) - 1)  # one bit per period p * s
+                H = ones * (((1 << s) - 1) << (p - 1) * s) << off
+                moves.append((block0 ^ H, H, s, (p - 1) * s))
+            inner = Q ** (len(free) - len(cols))
+            walk = [(*moves[k], start + N * inner) for k, N in _gray_steps(len(moves), p)]
+            for g in range(inner):
+                m = out[start + g] = _mask_of(table[start + g])
+                b = m & block0
+                rest = m ^ b
+                for L, H, s, t, at in walk:
+                    b = (b & L) << s | (b & H) >> t
+                    out[at + g] = b | rest
+            start += Q ** len(free)
+        return tuple(out)
+
+
+@cache
+def _gray_steps(D: int, p: int) -> tuple[tuple[int, int], ...]:
+    """The modular p-ary Gray code on D digits as steps (k, N): add 1 mod p to digit k, giving the
+    word of base-p value N.  Step i bumps digit v_p(i), so the p^D - 1 steps visit every other word once."""
+    digits, N, steps = [0] * D, 0, []
+    for i in range(1, p**D):
+        k = 0
+        while i % p ** (k + 1) == 0:
+            k += 1
+        N += p**k if digits[k] < p - 1 else -(p - 1) * p**k
+        digits[k] = (digits[k] + 1) % p
+        steps.append((k, N))
+    return tuple(steps)
 
 
 def _mask_of(ids) -> int:
@@ -257,9 +308,9 @@ class IncidenceMatrix:
     rows: tuple[int, ...]  # rows[i] bit j set iff point j lies in subspace i
 
     def to_dense(self) -> list[list[int]]:
-        return [
-            [(r >> j) & 1 for j in range(self.n_cols)] for r in self.rows
-        ]
+        """The 0/1 rows as lists, each read off one binary string (column j is bit j)."""
+        bits, width = bytes.maketrans(b"01", b"\0\1"), f"0{self.n_cols}b"
+        return [list(format(r, width)[::-1].encode().translate(bits)) for r in self.rows]
 
 
 def incidence_matrix(n: int, r: int, field: Field) -> IncidenceMatrix:
@@ -307,10 +358,12 @@ class PointSet:
         return _mask_of(self.members)
 
     def complement(self) -> PointSet:
-        mem = set(self.members)
-        return PointSet(
-            self.n, self.field, tuple(i for i in range(_space(self.n, self.field).count) if i not in mem)
-        )
+        """The other points, with the mask seeded by one XOR against the all-points mask."""
+        count = _space(self.n, self.field).count
+        others = itertools.filterfalse(set(self.members).__contains__, range(count))
+        out = PointSet(self.n, self.field, tuple(others))
+        out.__dict__["mask"] = ((1 << count) - 1) ^ self.mask
+        return out
 
     def coords(self) -> tuple[tuple[FieldElem, ...], ...]:
         pts = _space(self.n, self.field).elem_points

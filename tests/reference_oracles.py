@@ -9,7 +9,7 @@ import itertools
 
 from unitals.finite_field import Field, _is_irreducible, frobenius
 from unitals.galois_ring import GaloisRing, GaloisRingElem
-from unitals.proj_geom import PointSet, _image_enc, _mask_of, _space, enum_points
+from unitals.proj_geom import IncidenceMatrix, PointSet, _image_enc, _mask_of, _space, enum_points
 from unitals.varieties import (
     _FIT_ENUM_LIMIT,
     HermitianForm,
@@ -45,6 +45,13 @@ def image_by_mat_vec(M, S: PointSet) -> PointSet:
     out = PointSet.of(S.n, S.field, [index_of(mat_vec(M, pts[i])) for i in S.members])
     assert len(out) == len(S)
     return out
+
+
+def dense_by_bits(A: IncidenceMatrix) -> list[list[int]]:
+    """The 0/1 rows of A, one shift of the packed row per entry."""
+    return [
+        [(r >> j) & 1 for j in range(A.n_cols)] for r in A.rows
+    ]
 
 
 def hermitian_variety_by_evaluation(form) -> PointSet:

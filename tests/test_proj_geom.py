@@ -10,9 +10,11 @@ from unitals.census import intersect_size
 from unitals.finite_field import field_for_q, make_field
 from unitals.linalg import det_enc, mat_det
 from unitals.proj_geom import (
+    IncidenceMatrix,
     PointSet,
     _Space,
     _image_enc,
+    _mask_of,
     _space,
     all_points_set,
     apply_collineation,
@@ -24,7 +26,7 @@ from unitals.proj_geom import (
     subspace_member_indices,
 )
 
-from reference_oracles import image_by_mat_vec, irreducible_moduli, mat_mul
+from reference_oracles import dense_by_bits, image_by_mat_vec, irreducible_moduli, mat_mul
 
 
 def test_gaussian_binomial():
@@ -167,10 +169,12 @@ def test_line_table_allocates_its_tuples_and_little_more():
     assert grown < len(lines) * sys.getsizeof(tuple(range(50))) + (1 << 18)
 
 
-# (n, r, p, t): lines and planes over fields with and without an addition table
+# (n, r, p, t): lines and planes over fields with and without an addition table (p = 2 adds by
+# XOR, and GF(37^2) by digits, as it has over _ADD_TABLE_LIMIT elements)
 BUILD_CASES = [
     (1, 1, 3, 1), (2, 1, 2, 2), (2, 2, 2, 1), (2, 2, 3, 1), (2, 2, 2, 2), (2, 2, 5, 1), (2, 2, 7, 1),
     (3, 2, 2, 1), (3, 3, 2, 1), (3, 2, 3, 1), (3, 3, 3, 1), (4, 2, 2, 1), (4, 3, 2, 1), (4, 4, 2, 1),
+    (1, 1, 37, 1),
 ]
 
 
@@ -184,6 +188,53 @@ def test_subspace_build_matches_per_point_reference(case, data):
     members = subspace_member_indices(n, r, f)
     for i in data.draw(st.lists(st.integers(0, len(subs) - 1), min_size=1, max_size=8)):
         assert members[i] == _reference_subspace_points(n, r, f, subs[i])
+
+
+@pytest.mark.parametrize("n,r,q", sorted(SUBSPACE_DIGESTS))
+def test_subspace_masks_match_point_by_point_masks(n, r, q):
+    """The Gray walk's masks are the masks of the member tuples, one `_mask_of` per subspace."""
+    sp = _space(n, field_for_q(q))
+    assert sp.subspace_masks(r) == tuple(map(_mask_of, sp.subspace_point_indices(r)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(BUILD_CASES), data=st.data())
+def test_subspace_masks_match_point_by_point_masks_under_any_modulus(case, data):
+    """The walk reads digits of encodings only, so it holds for every modulus: p = 2, where a step
+    swaps bit groups, odd p, where it rotates them, and digit addition without a table."""
+    n, r, p, t = case
+    sp = _Space(n, make_field(p, t, data.draw(st.sampled_from(irreducible_moduli(p, 2 * t)))))
+    assert sp.subspace_masks(r) == tuple(map(_mask_of, sp.subspace_point_indices(r)))
+
+
+def test_plane_masks_match_point_by_point_masks_at_q_11():
+    """PG(2, 121): 14,763 lines of 122 points, each step a rotation of a 14,763-bit mask."""
+    sp = _Space(2, field_for_q(11))  # not the cached _space, so the table goes when the test ends
+    assert sp.subspace_masks(2) == tuple(map(_mask_of, sp.subspace_point_indices(2)))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7])
+def test_plane_masks_mask_q_plus_2_lines_point_by_point(q, monkeypatch):
+    """A fresh line table of PG(2, Q) calls `_mask_of` once per pivot pattern and fill of row 1,
+    Q + 2 times, not once per line."""
+    calls = []
+    monkeypatch.setattr("unitals.proj_geom._mask_of", lambda ids: calls.append(ids) or _mask_of(ids))
+    sp = _Space(2, field_for_q(q))  # not the cached _space, whose masks may be built already
+    Q = sp.field.size
+    assert len(sp.subspace_masks(2)) == Q * Q + Q + 1
+    assert len(calls) == Q + 2
+
+
+@pytest.mark.parametrize("n,r,q", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5), (3, 2, 2), (3, 3, 2)])
+def test_to_dense_matches_per_bit_reference(n, r, q):
+    """PG(2, q^2) for q = 2..5 and the lines and planes of PG(3, 4): each row read off one binary string."""
+    A = incidence_matrix(n, r, field_for_q(q))
+    assert A.to_dense() == dense_by_bits(A)
+
+
+def test_to_dense_of_a_matrix_with_no_rows():
+    A = IncidenceMatrix(n_rows=0, n_cols=7, rows=())
+    assert A.to_dense() == dense_by_bits(A) == []
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -241,6 +292,24 @@ def test_pointset_membership_is_a_search_of_members():
         members, count = set(s.members), _space(s.n, s.field).count
         assert [i in s for i in range(-1, count + 1)] == [i in members for i in range(-1, count + 1)]
         assert "mask" not in s.__dict__
+
+
+def test_complement_mask_is_the_xor_with_all_points():
+    """The seeded mask of a complement is the mask of its members, and complementing twice gives the set back."""
+    from unitals.varieties import HermitianForm, all_valid_bm_params, bm_unital, hermitian_variety
+
+    for q in (3, 4):
+        f = field_for_q(q)
+        sets = [
+            PointSet(2, f, ()),
+            all_points_set(2, f),
+            hermitian_variety(HermitianForm.identity(2, f)),
+            bm_unital(all_valid_bm_params(f)[0]),
+        ]
+        for s in sets:
+            comp = s.complement()
+            assert comp.__dict__["mask"] == _mask_of(comp.members)
+            assert comp.complement() == s
 
 
 def test_pointset_json_round_trip():
