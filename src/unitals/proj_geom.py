@@ -18,10 +18,13 @@ to and at p_k.  So a point's index is the offset of p_k plus the base-q^2
 value of its coordinates after p_k.  The span is walked with the coefficients
 of B[k+1:] in lexicographic order, and its coordinate at p_{k+1} is the most
 significant coefficient itself, so the indices come out ascending with no sort.
-The pivots' columns add the same part to every subspace of a pivot pattern,
-computed once per pattern; each free column adds an entry's share through one
-table row of c*x or of w*(x + c), for c = 0, ..., q^2 - 1.  Each table's entries
-are taken from one tuple of the point indices, so it holds one int object per
+Row 0 lies only in block 0 (k = 0), the last and largest: its free entries add
+to the coordinates of every point there, so its fills translate block 0.  Per
+pivot pattern and fill of the later rows, those rows' blocks (1/q^2 of the
+points) are read point by point.  Each block-0 point's indices over the q^2
+values of row 0's last free entry are then one strided slice of the tuple of
+point indices, permuted by one itemgetter per field element, and the subspaces
+are the rows of a zip of these slices.  So a table holds one int object per
 point, not one per incidence.  A table whose subspaces times points would pass
 MAX_MASK_BITS is refused before it is built.  Incidence rows are bit-packed
 into Python integers; popcounts of mask ANDs are the fast intersection path.
@@ -43,7 +46,7 @@ import itertools
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from operator import add, itemgetter
+from operator import itemgetter
 
 from .finite_field import Field, FieldElem, make_field
 from .linalg import mat_det
@@ -158,46 +161,65 @@ class _Space:
 
     # Two per-r caches live as long as the _Space, which _space keeps for the process: the
     # point indices (read by subspace_member_indices) and the masks made from them (read by
-    # incidence_matrix and every section count).  Every entry of the indices is the one int
-    # object of its point in that table, so they hold no int per incidence.  subspaces() keeps
-    # nothing, as only enum_subspaces reads its bases.
+    # incidence_matrix and every section count).  Every entry of the indices is read out of one
+    # tuple of the point indices (by item, slice, itemgetter or zip), so they hold one int object
+    # per point and none per incidence.  subspaces() keeps nothing, as only enum_subspaces reads
+    # its bases.
     @cache
     def subspace_point_indices(self, r: int) -> tuple[tuple[int, ...], ...]:
+        """The subspaces' ascending point indices, in enumeration order.  Per pivot pattern and fill
+        g of rows 1..r-1, the blocks of rows 1..r-1 are read point by point; row 0's fill translates
+        block 0, so a block-0 point whose span coordinate at row 0's last free column j is s has, at
+        row 0's entry c there, the index index[b + (c + s) * w] (w = Q^(n-j)): perms[s] of a slice."""
         field, n1, Q = self.field, self.n + 1, self.field.size
-        add_row, mul, offsets = field.add_row_enc, field.mul_enc, self._offsets
+        add_row, offsets = field.add_row_enc, self._offsets
         weights = [Q ** (self.n - j) for j in range(n1)]
-        index, table, coords = tuple(range(self.count)), [], list(range(Q))
-        times, plus = {}, {}  # times[x]: c*x, plus[w, x]: w*(x + c), for c = 0, ..., Q-1
-        for pivots, free, fills in self._rref(r):
-            # Block k holds the points row k + span(rows k+1..), whose coordinate at p_{k+1} is
-            # the most significant coefficient; in lexicographic coefficient order the indices
-            # ascend.  lead: their indices from p_k's offset and the later pivots' columns (lex)
-            # alone; row k's entries before p_{k+1} shift the whole block, later ones add to the span.
-            blocks, lex = [], [0]
+        index, coords = tuple(range(self.count)), range(Q)
+        perms = [itemgetter(*add_row(v, coords)) for v in coords]  # perms[v](S): S[v + c], c = 0..Q-1
+        by_enc = itemgetter(0, *(1 + lg for lg in field._log[1:]))  # multiples_enc order -> c = 0..Q-1
+        table = []
+        for pivots, free, _ in self._rref(r):
+            cols = [j for i, j in free if i == 0]
+            *outer, last = cols or [None]  # row 0's free columns: the last one is read by slices
+            inner, per = Q ** (len(free) - len(cols)), Q if cols else 1
+            group = [None] * (inner * Q ** len(cols))
+            # lead[k]: block k's indices (row k + span(rows k+1..)) from p_k's offset and the later
+            # pivots' columns alone, the coefficient at p_{k+1} most significant, so ascending.
+            lead, lex = [None] * r, [0]
             for k in range(r - 1, -1, -1):
-                nxt = pivots[k + 1] if k + 1 < r else n1
-                row = [(pos, j, weights[j]) for pos, (i, j) in enumerate(free) if i == k]
-                near, far = [(pos, w) for pos, j, w in row if j < nxt], [e for e in row if e[1] > nxt]
-                blocks.append(([offsets[pivots[k]] + x for x in lex], near, far, row if k else ()))
-                lex = [c * weights[pivots[k]] + x for c in range(Q) for x in lex]
-            for fill in fills:
-                span, ids = {}, []  # span[j]: coordinate j of span(rows k..), lexicographic
-                for lead, near, far, grow in blocks:  # grow: row k's entries, none in block 0
-                    fixed = sum(fill[pos] * w for pos, w in near)
-                    part = [x + fixed for x in lead] if fixed else lead
-                    for pos, j, w in far:
-                        key = w, fill[pos]
-                        wx = plus.get(key) or plus.setdefault(key, [w * y for y in add_row(key[1], coords)])
-                        part = list(map(add, part, map(wx.__getitem__, span[j])))
-                    ids += part
-                    for pos, j, _ in grow:
-                        x = fill[pos]
-                        cx = times.get(x) or times.setdefault(x, [mul(c, x) for c in coords])
-                        if j in span:
-                            span[j] = [y for c in cx for y in add_row(c, span[j])]
+                lead[k] = [offsets[pivots[k]] + x for x in lex]
+                lex = [c * weights[pivots[k]] + x for c in coords for x in lex]
+            # entries[k]: row k's free entries (position in the fill of rows 1..r-1, column)
+            entries = [[(pos, j) for pos, (i, j) in enumerate(free[len(cols) :]) if i == k] for k in range(r)]
+            zeros = [0] * len(lead[0])
+            for g, fill in enumerate(itertools.product(coords, repeat=len(free) - len(cols))):
+                span, later = {}, []  # span[j]: coordinate j of span(rows k+1..), lexicographic
+                for k in range(r - 1, 0, -1):
+                    ids = lead[k]
+                    for pos, j in entries[k]:  # add row k's entry to block k, then row k to the span
+                        w, x, old = weights[j], fill[pos], span.get(j)
+                        cx = by_enc(field.multiples_enc(x))  # c * x, c = 0..Q-1, most significant
+                        if old is None:
+                            ids = [i + w * x for i in ids]
+                            span[j] = [c for c in cx for _ in ids]
                         else:
-                            span[j] = [c for c in cx for _ in lead] if len(lead) > 1 else cx
-                table.append(itemgetter(*ids)(index) if r > 1 else (index[ids[0]],))
+                            ids = [i + w * y for i, y in zip(ids, add_row(x, old))]
+                            span[j] = [y for c in cx for y in add_row(c, old)]
+                    later += map(index.__getitem__, ids)
+                # Block 0 over row 0's fills: the outer columns shift each point's base, the last
+                # one's Q values read the slice index[b : b + Q*w : w] in the order c + span[last].
+                for o, vals in enumerate(itertools.product(coords, repeat=len(outer))):
+                    base = lead[0]
+                    for j, v in zip(outer, vals):
+                        base = [b + weights[j] * a for b, a in zip(base, add_row(v, span.get(j, zeros)))]
+                    if cols:
+                        w, shifts = weights[last], span.get(last, zeros)
+                        columns = [perms[s](index[b : b + Q * w : w]) for b, s in zip(base, shifts)]
+                    else:
+                        columns = [(index[b],) for b in base]
+                    at = g + o * per * inner  # row 0's fill o * per + c is the group's subspace at + c * inner
+                    group[at : at + per * inner : inner] = zip(*map(itertools.repeat, later), *columns)
+            table += group
         return tuple(table)
 
     @cache

@@ -145,13 +145,38 @@ def test_subspace_member_indices_frozen(n, r, q):
     assert hashlib.sha256(repr(members).encode()).hexdigest() == SUBSPACE_DIGESTS[n, r, q]
 
 
-def test_subspace_tables_share_one_int_per_point():
-    """In the line table of PG(2, 49), equal point indices are one int object, so it holds no int per
-    incidence.  (In the point table, r = 1, each index occurs once.)"""
-    members = subspace_member_indices(2, 2, field_for_q(7))
+# Larger tables, kept out of SUBSPACE_DIGESTS so the point-by-point mask test does not mask them:
+# the lines of PG(3, 16), whose row 0 has two free columns, its planes, and the lines of PG(2, 121),
+# where GF(121) adds by table.  sha256 of repr(table), frozen before the build translated block 0.
+LARGE_SUBSPACE_DIGESTS = {
+    (3, 2, 4): "ee8a1217a570402d86febac4dd0844b868ee174c45d74d871a29ba5c2713397e",
+    (3, 3, 4): "080013e92225bd13152a7d48f235b7026bf6ef35a8242cbe5dae65c39f530835",
+    (2, 2, 11): "4ccce6517731485b78619a8d174a2f15b8799e466858144de0085e80054e582f",
+}
+
+
+@pytest.mark.parametrize("n,r,q", sorted(LARGE_SUBSPACE_DIGESTS))
+def test_large_subspace_tables_frozen(n, r, q):
+    """The frozen digest, and every 997th subspace against the per-point mat-vec route."""
+    sp = _Space(n, field_for_q(q))  # not the cached _space, so the table goes when the test ends
+    members = sp.subspace_point_indices(r)
+    assert hashlib.sha256(repr(members).encode()).hexdigest() == LARGE_SUBSPACE_DIGESTS[n, r, q]
+    subs, elems = sp.subspaces(r), sp.field.elements
+    for i in range(0, len(subs), 997):
+        basis = [[elems[e] for e in row] for row in subs[i]]
+        assert members[i] == _reference_subspace_points(n, r, sp.field, basis)
+
+
+@pytest.mark.parametrize("n,r,q", [(2, 2, 7), (3, 2, 3), (3, 3, 2)])
+def test_subspace_tables_share_one_int_per_point(n, r, q):
+    """Equal point indices are one int object, so a table holds no int per incidence: the lines of
+    PG(2, 49), the lines of PG(3, 9), whose row 0 has two free columns, and the planes of PG(3, 4).
+    (In the point table, r = 1, each index occurs once.)"""
+    f = field_for_q(q)
+    Q, members = f.size, subspace_member_indices(n, r, f)
     entries = [i for ids in members for i in ids]
-    assert len(entries) == 2451 * 50
-    assert len({id(i) for i in entries}) == len(set(entries)) == 2451
+    assert len(entries) == gaussian_binomial(n + 1, r, Q) * gaussian_binomial(r, 1, Q)
+    assert len({id(i) for i in entries}) == len(set(entries)) == gaussian_binomial(n + 1, 1, Q)
 
 
 def test_line_table_allocates_its_tuples_and_little_more():
