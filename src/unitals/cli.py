@@ -23,17 +23,8 @@ import argparse
 import json
 import sys
 
-from . import __version__
-from .census import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    _hist,
-    bm_vs_hermitian_census,
-    general_unital_congruence,
-    hermitian_pair_divisibility,
-    kestenband_census,
-    nonhermitian_pair_scan,
-)
+from . import __version__, census
+from .census import DEFAULT_SAMPLES, DEFAULT_SEED, _hist
 from .finite_field import field_for_q
 from .galois_ring import herm_char_value, make_ring
 from .padic_invariants import _snf_certified, enum_basis_monomials, invariant_exponent, type_of
@@ -50,6 +41,16 @@ from .varieties import (
     is_unital_embedded,
     random_hermitian_form,
 )
+
+# --kind of the census subcommand: (function of `census`, takes --samples, takes --n).  The
+# function is looked up by name at call time, so a rebinding in `census` reaches the CLI.
+_CENSUS_KINDS = {
+    "kestenband": ("kestenband_census", True, False),
+    "bm-vs-hermitian": ("bm_vs_hermitian_census", False, False),
+    "general": ("general_unital_congruence", False, False),
+    "hermitian-pairs": ("hermitian_pair_divisibility", True, True),
+    "nonhermitian-scan": ("nonhermitian_pair_scan", True, False),
+}
 
 
 def _resolve_field(args):
@@ -110,14 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("census", help="run an intersection census")
     _add_field_flags(sp, need_n=True)
-    sp.add_argument(
-        "--kind",
-        choices=["kestenband", "bm-vs-hermitian", "general", "hermitian-pairs", "nonhermitian-scan"],
-        required=True,
-    )
-    sp.add_argument(
-        "--samples", type=int, help=f"pairs to draw (default {DEFAULT_SAMPLES}; not for bm-vs-hermitian, general)"
-    )
+    sp.add_argument("--kind", choices=list(_CENSUS_KINDS), required=True)
+    sweeps = ", ".join(kind for kind, (_, samples, _) in _CENSUS_KINDS.items() if not samples)
+    sp.add_argument("--samples", type=int, help=f"pairs to draw (default {DEFAULT_SAMPLES}; not for {sweeps})")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--format", choices=["json", "csv"], default="json")
     sp.set_defaults(func=cmd_census)
@@ -256,22 +252,15 @@ def cmd_census(args) -> int:
     if args.samples is not None and args.samples < 1:
         raise ValueError("--samples must be >= 1")
     kind = args.kind
-    if kind != "hermitian-pairs" and args.n != 2:
+    name, takes_samples, takes_n = _CENSUS_KINDS[kind]
+    if not takes_n and args.n != 2:
         raise ValueError(f"--kind {kind} lives in the plane; --n must be 2, not {args.n}")
-    if kind in ("bm-vs-hermitian", "general") and args.samples is not None:
+    if not takes_samples and args.samples is not None:
         raise ValueError(f"--kind {kind} sweeps every valid B-M pair; it takes no --samples")
-    samples = args.samples or DEFAULT_SAMPLES
     q = _resolve_field(args).q
-    if kind == "kestenband":
-        report = kestenband_census(q, samples, args.seed)
-    elif kind == "bm-vs-hermitian":
-        report = bm_vs_hermitian_census(q, seed=args.seed)
-    elif kind == "general":
-        report = general_unital_congruence(q, seed=args.seed)
-    elif kind == "hermitian-pairs":
-        report = hermitian_pair_divisibility(args.n, q, samples, args.seed)
-    else:
-        report = nonhermitian_pair_scan(q, samples, args.seed)
+    head = (args.n, q) if takes_n else (q,)
+    tail = (args.samples or DEFAULT_SAMPLES,) if takes_samples else ()
+    report = getattr(census, name)(*head, *tail, seed=args.seed)
     text = report.to_json() if args.format == "json" else report.to_csv()
     _emit(text, args.out)
     pairs = {"records": len(report.records), "distinct": report.distinct_pairs}

@@ -467,50 +467,37 @@ def _lines_through(field: Field, i: int) -> list[int]:
 def _check_design(points, blocks, k: int, b: int) -> None:
     """AssertionError unless the b blocks of k points cover every pair of points once.
 
-    Fast path, one OR per (block, point) incidence: union[i] collects the points
-    that share a block with point i, as a bitmask over positions in `points`.  If
-    every block has k entries, b*k(k-1) = v(v-1) and every union is the full set,
-    then each of the C(v, 2) pairs is covered at least once by blocks that hold at
-    most b*C(k, 2) = C(v, 2) pairs in all, so each pair is covered exactly once.
-    Otherwise a block-by-block scan finds the fault: seen[i] has a bit for every
-    point that already shares a block with point i, and the first pair covered
-    twice is named.  A block entry outside `points` is named too.
+    One OR per (block, point) incidence: union[i] collects the points that share
+    a block with point i, as a bitmask over positions in `points`.  Given
+    b*k(k-1) = v(v-1), blocks of k points hold b*C(k, 2) = C(v, 2) pairs counted
+    with multiplicity, so covering every pair at least once covers each exactly
+    once.  A pair covered twice, or a point repeated in a block, therefore leaves
+    some pair uncovered, and the first uncovered pair is named.  A block entry
+    outside `points` is named too.
     """
     if len(blocks) != b:
         raise AssertionError("secant count off")
     v = len(points)
+    if b * k * (k - 1) != v * (v - 1):
+        raise AssertionError(f"design counts off: b*k*(k-1) != v*(v-1) for b = {b}, k = {k}, v = {v}")
     pos = {x: i for i, x in enumerate(points)}
-    full = (1 << v) - 1
-
-    def positions(blk):
-        try:
-            return [pos[x] for x in blk]
-        except KeyError as e:
-            raise AssertionError(f"block point {e.args[0]} is not a point of the design") from None
-
-    if b * k * (k - 1) == v * (v - 1) and all(len(blk) == k for blk in blocks):
-        union = [0] * v
-        for blk in blocks:
-            at = positions(blk)
-            m = _mask_of(at)
-            for i in at:
-                union[i] |= m
-        if all(u == full for u in union):
-            return
-    seen = [0] * v
+    union = [0] * v
     for blk in blocks:
         if len(blk) != k:
             raise AssertionError("block size off")
-        at = positions(blk)
+        try:
+            at = [pos[x] for x in blk]
+        except KeyError as e:
+            raise AssertionError(f"block point {e.args[0]} is not a point of the design") from None
         m = _mask_of(at)
         for i in at:
-            twice = seen[i] & (m ^ (1 << i))
-            if twice:
-                pair = tuple(sorted((points[i], points[(twice & -twice).bit_length() - 1])))
-                raise AssertionError(f"pair {pair} covered twice")
-            seen[i] |= m
-    if any(s != full for s in seen):
-        raise AssertionError("pair coverage incomplete")
+            union[i] |= m
+    full = (1 << v) - 1
+    for i, u in enumerate(union):
+        missing = full & ~(u | 1 << i)
+        if missing:
+            pair = tuple(sorted((points[i], points[(missing & -missing).bit_length() - 1])))
+            raise AssertionError(f"pair {pair} covered by no block")
 
 
 def check_property_I(S: PointSet, r: int, beta: int) -> bool:

@@ -451,6 +451,17 @@ def test_census_failed_check_exits_1_with_its_report(tmp_path, capsys, monkeypat
     assert json.loads(last.removeprefix("first failing record: "))["ok"] is False
 
 
+def test_census_cli_calls_the_census_module_binding(capsys, monkeypatch):
+    """The CLI looks a census up in `census` at call time, so a wrapper bound there (as a tracer binds one) runs."""
+    from unitals import census
+
+    calls = []
+    kestenband = census.kestenband_census
+    monkeypatch.setattr(census, "kestenband_census", lambda *a, **kw: calls.append(a) or kestenband(*a, **kw))
+    assert run(capsys, "census", "--kind", "kestenband", "--q", "2", "--samples", "3")[0] == 0
+    assert calls == [(2, 3)]
+
+
 def test_invariants_exit_1_when_the_snf_disagrees(capsys, monkeypatch):
     from unitals import cli
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -314,10 +315,13 @@ def test_design_check_rejects_hand_made_block_lists():
     points = tuple(range(9))
     _check_design(points, AG23, 3, 12)
     doubled = AG23[:-1] + [(0, 1, 6)]  # (0, 1) and (0, 6) again
-    with pytest.raises(AssertionError, match=r"pair \(0, 1\) covered twice"):
-        _check_design(points, doubled, 3, 12)
-    with pytest.raises(AssertionError, match="pair coverage incomplete"):
-        _check_design(points, AG23[:-1], 3, 11)  # (2, 4), (2, 6), (4, 6) uncovered
+    with pytest.raises(AssertionError, match=r"^pair \(2, 4\) covered by no block$"):
+        _check_design(points, doubled, 3, 12)  # (2, 4), (2, 6), (4, 6) uncovered
+    moved = {(0, 1, 2): (3, 1, 2), (0, 3, 6): (1, 3, 6), (0, 4, 8): (2, 4, 8), (0, 5, 7): (1, 5, 7)}
+    with pytest.raises(AssertionError, match=r"^pair \(0, 1\) covered by no block$"):
+        _check_design(points, [moved.get(blk, blk) for blk in AG23], 3, 12)  # point 0 on no block
+    with pytest.raises(AssertionError, match=r"^design counts off: .* for b = 11, k = 3, v = 9$"):
+        _check_design(points, AG23[:-1], 3, 11)
     with pytest.raises(AssertionError, match="secant count off"):
         _check_design(points, AG23[:-1], 3, 12)
     with pytest.raises(AssertionError, match="block size off"):
@@ -431,11 +435,15 @@ def test_design_union_path_agrees_with_the_scan():
     outcomes = []
     for points, blks, k, b in cases:
         outcome = _design_outcome(_check_design, points, blks, k, b)
-        assert outcome == _design_outcome(check_design_by_scan, points, blks, k, b)
+        assert (outcome is None) == (_design_outcome(check_design_by_scan, points, blks, k, b) is None)
+        named = re.fullmatch(r"pair \((\d+), (\d+)\) covered by no block", outcome or "")
+        if named:
+            pair = {int(named[1]), int(named[2])}
+            assert not any(pair <= set(blk) for blk in blks)
         outcomes.append(outcome)
     assert None in outcomes
-    kinds = {"covered twice" if o.endswith("covered twice") else o for o in outcomes if o}
-    assert kinds == {"secant count off", "block size off", "covered twice", "pair coverage incomplete"}
+    kinds = {"covered by no block" if o.endswith("covered by no block") else o.partition(":")[0] for o in outcomes if o}
+    assert kinds == {"secant count off", "block size off", "covered by no block", "design counts off"}
 
 
 @pytest.mark.parametrize("q,count", [(3, 18), (4, 72)])
