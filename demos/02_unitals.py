@@ -33,7 +33,7 @@ print(f"tangents: {check.tangent_count}, secants: {check.secant_count}")
 
 blocks = blocks_of(H)
 print(f"secant blocks: {len(blocks)}, each of size {len(blocks[0])}")
-print("they form a 2-(28, 4, 1) design; blocks_of verified pair coverage")
+print("they form a 2-(28, 4, 1) design: two lines of the plane share one point")
 
 comp = H.complement()
 print(f"complement has {len(comp)} points;", end=" ")

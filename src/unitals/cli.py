@@ -9,9 +9,9 @@ census, charfn-check.  Exit codes:
   2  unusable flags, invalid construction parameters or a malformed input
      file (one `error:` line on stderr);
   3  an internal error: a consistency check of the library itself fired, e.g.
-     the two intersection routes disagree, the blocks of a unital do not form
-     a design, or a Galois-ring iteration did not converge (one
-     `internal error:` line on stderr, no traceback).
+     the two intersection routes disagree, the secant sections of a unital
+     disagree with the line masks, or a Galois-ring iteration did not
+     converge (one `internal error:` line on stderr, no traceback).
 
 Reports go to --out when given, else to stdout; diagnostics go to stderr.
 Identical invocations produce byte-identical report files.

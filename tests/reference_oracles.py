@@ -1,7 +1,9 @@
 """Slow, direct reference routes that the tests compare the library against.
 
 None of these run in the library itself: each one is the textbook way to
-compute something that `src/unitals` computes a faster way.
+compute something that `src/unitals` computes a faster way, or, as
+`_check_design` does for the plane axiom of a line table, certifies a fact
+the library relies on without checking it.
 """
 
 import functools
@@ -341,6 +343,42 @@ def blocks_of_by_line_scan(S: PointSet) -> tuple[tuple[int, ...], ...]:
     return blocks
 
 
+def _check_design(points, blocks, k: int, b: int) -> None:
+    """AssertionError unless the b blocks of k points cover every pair of points once.
+
+    One OR per (block, point) incidence: union[i] collects the points that share
+    a block with point i, as a bitmask over positions in `points`.  Given
+    b*k(k-1) = v(v-1), blocks of k points hold b*C(k, 2) = C(v, 2) pairs counted
+    with multiplicity, so covering every pair at least once covers each exactly
+    once.  A pair covered twice, or a point repeated in a block, therefore leaves
+    some pair uncovered, and the first uncovered pair is named.  A block entry
+    outside `points` is named too.
+    """
+    if len(blocks) != b:
+        raise AssertionError("secant count off")
+    v = len(points)
+    if b * k * (k - 1) != v * (v - 1):
+        raise AssertionError(f"design counts off: b*k*(k-1) != v*(v-1) for b = {b}, k = {k}, v = {v}")
+    pos = {x: i for i, x in enumerate(points)}
+    union = [0] * v
+    for blk in blocks:
+        if len(blk) != k:
+            raise AssertionError("block size off")
+        try:
+            at = [pos[x] for x in blk]
+        except KeyError as e:
+            raise AssertionError(f"block point {e.args[0]} is not a point of the design") from None
+        m = _mask_of(at)
+        for i in at:
+            union[i] |= m
+    full = (1 << v) - 1
+    for i, u in enumerate(union):
+        missing = full & ~(u | 1 << i)
+        if missing:
+            pair = tuple(sorted((points[i], points[(missing & -missing).bit_length() - 1])))
+            raise AssertionError(f"pair {pair} covered by no block")
+
+
 def check_design_by_scan(points, blocks, k: int, b: int) -> None:
     """AssertionError unless the b blocks of k points cover every pair of points once, block by block.
 
@@ -354,7 +392,10 @@ def check_design_by_scan(points, blocks, k: int, b: int) -> None:
     for blk in blocks:
         if len(blk) != k:
             raise AssertionError("block size off")
-        at = [pos[x] for x in blk]
+        try:
+            at = [pos[x] for x in blk]
+        except KeyError as e:
+            raise AssertionError(f"block point {e.args[0]} is not a point of the design") from None
         m = _mask_of(at)
         for i in at:
             twice = seen[i] & (m ^ (1 << i))

@@ -41,6 +41,8 @@ from unitals.varieties import (
     is_unital_embedded,
 )
 
+from reference_oracles import check_design_by_scan
+
 CRITERIA = {
     1: "Buekenhout-Metz vs Hermitian: sizes = 1 mod q (q = 3, 4, 5)",
     2: "general-unital congruence and complement divisibility at q = 4",
@@ -185,7 +187,7 @@ def test_criterion_7_unital_axioms(acceptance):
             try:
                 if not is_unital_embedded(U):
                     raise AssertionError("line profile")
-                blocks_of(U)  # raises unless a 2-(q^3+1, q+1, 1) design
+                check_design_by_scan(U.members, blocks_of(U), q + 1, q * q * (q * q - q + 1))
                 if not check_property_I(U.complement(), r=2, beta=f.t):
                     raise AssertionError("complement divisibility")
             except (AssertionError, ValueError):

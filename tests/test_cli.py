@@ -299,13 +299,6 @@ def _break_mask(monkeypatch):
     monkeypatch.setattr(PointSet, "mask", property(lambda self: 0))
 
 
-def _miscount_secants(monkeypatch):
-    from unitals import varieties
-
-    check = varieties._check_design
-    monkeypatch.setattr(varieties, "_check_design", lambda pts, blocks, k, b: check(pts, blocks, k, b + 1))
-
-
 def _drop_line(monkeypatch):
     from unitals import varieties
 
@@ -397,9 +390,6 @@ INTERNAL_ERRORS = {
     "intersection routes": (
         _break_mask, ["census", "--kind", "kestenband", "--q", "2", "--samples", "3"],
         "AssertionError: intersection routes disagree",
-    ),
-    "blocks design": (
-        _miscount_secants, ["verify-unital", "--in", "{unital}"], "AssertionError: secant count off",
     ),
     "line sections": (
         _drop_line, ["verify-unital", "--in", "{unital}"],

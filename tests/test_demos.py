@@ -18,7 +18,7 @@ DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
 
 STDOUT_SHA256 = {
     "01_fields_and_planes": "de8aeb18178646bba3eb19e96c7ab56ce09ae753978c5eda0771b4a153fbfbb6",
-    "02_unitals": "df5952f7f0312f54856953a9b3b5037af1354e5a9d895b976bc3c3cd41272dcb",
+    "02_unitals": "a7443e3a7a4789b841e1299d9424ef6289a3520737c28437bb9708f68bdf1642",
     "03_invariants_and_snf": "4fb3bff908c08ed7a1f67f047378ffd39f376ed32f034085294a0f40ef900b58",
     "04_censuses": "e6220002fdd66d8d94b282102478022e2e0fbd8090041353774afbfb30cc7322",
     "05_teichmuller": "8824df23d036b34fb6d7e16ad77cc4608f760002fc008868735bac71b9736dca",

@@ -13,7 +13,6 @@ from unitals.varieties import (
     HermitianForm,
     _bm_point_ids,
     _canonical_variety,
-    _check_design,
     _cone_sizes,
     _draw_form,
     _line_sections,
@@ -33,6 +32,7 @@ from unitals.varieties import (
 )
 
 from reference_oracles import (
+    _check_design,
     blocks_of_by_line_scan,
     check_design_by_scan,
     fit_hermitian_form_full_system,
@@ -328,6 +328,20 @@ def test_design_check_rejects_hand_made_block_lists():
         _check_design(points, AG23[:-1] + [(2, 4)], 3, 12)
     with pytest.raises(AssertionError, match="^block point 5 is not a point of the design$"):
         _check_design((0, 1, 2), [(0, 1, 5)], 3, 1)
+    with pytest.raises(AssertionError, match="^block point 5 is not a point of the design$"):
+        check_design_by_scan((0, 1, 2), [(0, 1, 5)], 3, 1)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_line_tables_are_projective_planes(q):
+    """The lines of PG(2, Q), Q = q^2, form a 2-(Q^2+Q+1, Q+1, 1) design: two points share exactly one line.
+
+    This plane axiom is what makes the secants of any set with the unital profile a design, so `blocks_of`
+    takes it from the table, certified here once per table, and checks no design of its own.
+    """
+    f = field_for_q(q)
+    Q = f.size
+    _check_design(range(Q * Q + Q + 1), subspace_member_indices(2, 2, f), Q + 1, Q * Q + Q + 1)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
@@ -430,6 +444,7 @@ def test_design_union_path_agrees_with_the_scan():
     cases = [(tuple(range(9)), AG23, 3, 12), (tuple(range(9)), AG23[:-1] + [(0, 1, 6)], 3, 12)]
     cases += [(tuple(range(9)), AG23[:-1], 3, b) for b in (11, 12)]
     cases += [(tuple(range(9)), AG23[:-1] + [(2, 4)], 3, 12), (tuple(range(9)), AG23 + [AG23[0]], 3, 13)]
+    cases += [((0, 1, 2), [(0, 1, 5)], 3, 1)]
     cases += [(H.members, out, 4, b) for out, b in _design_faults(blocks, len(blocks), random.Random(3))]
     assert len(cases) > 50
     outcomes = []
@@ -442,8 +457,10 @@ def test_design_union_path_agrees_with_the_scan():
             assert not any(pair <= set(blk) for blk in blks)
         outcomes.append(outcome)
     assert None in outcomes
-    kinds = {"covered by no block" if o.endswith("covered by no block") else o.partition(":")[0] for o in outcomes if o}
-    assert kinds == {"secant count off", "block size off", "covered by no block", "design counts off"}
+    kinds = {re.sub(r"^(pair \(\d+, \d+\)|block point \d+) ", "", o.partition(":")[0]) for o in outcomes if o}
+    assert kinds == {
+        "secant count off", "block size off", "covered by no block", "design counts off", "is not a point of the design",
+    }
 
 
 @pytest.mark.parametrize("q,count", [(3, 18), (4, 72)])
