@@ -16,7 +16,7 @@ The Buekenhout-Metz family is built in the affine chart
     U_{a,b} = {(1, y, a*y^2 + b*y^(q+1) + r) : y in GF(q^2), r in GF(q)}
               u {(0, 0, 1)},        q > 2,
 which is Hermitian exactly when a = 0 (with b outside GF(q)).  Validity of
-(a, b) is one discriminant/trace criterion on a and b^q - b; see bm_is_valid.
+(a, b) is one discriminant/trace criterion on a^(q+1) and b^q - b; see bm_is_valid.
 
 A unital is any set of q^3+1 points meeting every line in 1 or q+1 points;
 its secant-line sections are the blocks of a 2-(q^3+1, q+1, 1) design.
@@ -285,16 +285,21 @@ def bm_is_valid(params: BMParams) -> bool:
     for q even, d must be nonzero (b outside GF(q)) and a^(q+1)/d^2 must have
     absolute trace 0.  For a = 0 both say b lies outside GF(q), the Hermitian
     case: a nonzero d has d^q = -d, so d^2 is a nonsquare for q odd.  Both
-    branches agree with the exhaustive brute-force line test at q = 3 and q = 4.
+    branches agree with the exhaustive brute-force line test at q = 3, 4, 5 and 7,
+    and at q = 8 and 9 in the slow tests.
     """
     return _bm_valid_enc(params.field, params.a.enc, params.b.enc)
 
 
 def _bm_valid_enc(field: Field, a: int, b: int) -> bool:
-    """bm_is_valid on the encodings of a and b."""
+    """bm_is_valid on the encodings of a and b: the criterion on N(a) = a^(q+1) and d = b^q - b."""
+    d = field.add_enc(field._conj[b], field.neg_enc(b))
+    return _bm_valid_nd(field, field.pow_enc(a, field.q + 1), d)
+
+
+def _bm_valid_nd(field: Field, norm: int, d: int) -> bool:
+    """The validity criterion of U_{a,b} on the encodings of N(a) = a^(q+1) and d = b^q - b."""
     mul, conj = field.mul_enc, field._conj
-    d = field.add_enc(conj[b], field.neg_enc(b))
-    norm = field.pow_enc(a, field.q + 1)
     if field.p != 2:
         w = field.add_enc(mul(d, d), mul(4 % field.p, norm))  # an encoding below p is that GF(p) scalar
         if conj[w] != w:
@@ -335,9 +340,20 @@ def bm_unital(params: BMParams) -> PointSet:
 
 
 def all_valid_bm_params(field: Field) -> tuple[BMParams, ...]:
-    """Every valid (a, b), full sweep of GF(q^2)^2, a = 0 cases included."""
-    el, size = field.elements, range(field.size)
-    return tuple(BMParams(el[a], el[b]) for a in size for b in size if _bm_valid_enc(field, a, b))
+    """Every valid (a, b), full sweep of GF(q^2)^2 in (a, b) order, a = 0 cases included.
+
+    The criterion reads only N(a) and d = b^q - b, each of which takes q values, so
+    `_bm_valid_nd` decides each (N(a), d) class once: per norm, one verdict per b, and
+    each a takes its valid b's from its norm's row by `itertools.compress`.
+    """
+    el, size, conj, neg = field.elements, range(field.size), field._conj, field.neg_enc
+    ds = [field.add_enc(conj[b], neg(b)) for b in size]
+    norms = [field.pow_enc(a, field.q + 1) for a in size]
+    rows = {}
+    for norm in set(norms):
+        verdict = {d: _bm_valid_nd(field, norm, d) for d in set(ds)}
+        rows[norm] = [verdict[d] for d in ds]
+    return tuple(BMParams(el[a], el[b]) for a in size for b in itertools.compress(size, rows[norms[a]]))
 
 
 def bm_affine_value(params: BMParams, y: FieldElem, z: FieldElem) -> FieldElem:
@@ -451,12 +467,25 @@ def blocks_of(S: PointSet) -> tuple[tuple[int, ...], ...]:
     return blocks
 
 
+@lru_cache(maxsize=1)
+def _through_tables(field: Field) -> tuple[tuple, tuple, tuple[int, ...]]:
+    """`_lines_through`'s tables for one field: rows[z][w] = Q*(z + w), slopes[y] picks the
+    entries w = c*(-y) of a row, c in `multiples_enc` order, and cs lists those c's."""
+    Q = field.size
+    scaled = [Q * w for w in range(Q)]  # shared by every row
+    rows = tuple(tuple(map(scaled.__getitem__, field.add_row_enc(z, range(Q)))) for z in range(Q))
+    slopes = tuple(operator.itemgetter(*field.multiples_enc(field.neg_enc(y))) for y in range(Q))
+    return rows, slopes, (0, *field._exp)
+
+
 def _lines_through(field: Field, i: int) -> list[int]:
-    """The q^2+1 indices of the lines of PG(2, Q) through point i, in closed form, Q = q^2.
+    """The q^2+1 indices of the lines of PG(2, Q) through point i, Q = q^2.
 
     Lines follow the RREF order of `_Space.subspaces(2)`: line v0*Q + v1 is
     z = v0*x + v1*y, line Q^2 + c is y = c*x and line Q^2 + Q is x = 0.  Point 0 is
     (0, 0, 1), point 1 + z is (0, 1, z) and point Q + 1 + y*Q + z is (1, y, z).
+    The affine point (1, y, z) lies on line (v0, c) for v0 = z - c*y: `slopes[y]`
+    reads Q*v0 off `rows[z]` for every c of `cs`, and adding c gives the line ids.
     """
     Q = field.size
     if i == 0:
@@ -464,9 +493,8 @@ def _lines_through(field: Field, i: int) -> list[int]:
     if i <= Q:
         return [v0 * Q + i - 1 for v0 in range(Q)] + [Q * Q + Q]
     y, z = divmod(i - Q - 1, Q)
-    # z = v0 + c*y on line (v0, c): v0 = z - c*y, with c in `multiples_enc` order
-    v0s = field.add_row_enc(z, field.multiples_enc(field.neg_enc(y)))
-    return [v0 * Q + c for v0, c in zip(v0s, (0, *field._exp))] + [Q * Q + y]
+    rows, slopes, cs = _through_tables(field)
+    return [*map(operator.add, slopes[y](rows[z]), cs), Q * Q + y]
 
 
 def check_property_I(S: PointSet, r: int, beta: int) -> bool:

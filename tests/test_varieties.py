@@ -360,6 +360,27 @@ def test_lines_through_is_the_transpose_of_the_line_table(q):
 
 
 @pytest.mark.parametrize(
+    "p,t,modulus", [(3, 1, (2, 2, 1)), (2, 2, (1, 1, 0, 0, 1)), (5, 1, (2, 1, 1))], ids=["GF(9)", "GF(16)", "GF(25)"]
+)
+def test_lines_and_blocks_under_a_non_default_modulus(p, t, modulus):
+    """Per-field tables are keyed on the field, not its size: a non-default modulus, used in turn with the
+    default field of the same size, gets its own lines through each point and its own blocks."""
+    other = make_field(p, t, modulus)
+    default = field_for_q(p**t)
+    assert other is not default and other.modulus != default.modulus
+    for f in (default, other, default, other):
+        through = [[] for _ in range(_space(2, f).count)]
+        for line, ids in enumerate(subspace_member_indices(2, 2, f)):
+            for i in ids:
+                through[i].append(line)
+        assert [sorted(_lines_through(f, i)) for i in range(len(through))] == through
+    for seed in range(3):
+        for f in (default, other):
+            U = bm_unital(random.Random(seed).choice(all_valid_bm_params(f)))
+            assert blocks_of(U) == blocks_of_by_line_scan(U)
+
+
+@pytest.mark.parametrize(
     "sets,q",
     [("H(I)", q) for q in (2, 3, 4, 5)] + [("every B-M", q) for q in (3, 4)] + [("seeded B-M", q) for q in (7, 8, 9)],
 )
@@ -463,7 +484,10 @@ def test_design_union_path_agrees_with_the_scan():
     }
 
 
-@pytest.mark.parametrize("q,count", [(3, 18), (4, 72)])
+@pytest.mark.parametrize(
+    "q,count", [(3, 18), (4, 72), (5, 200), (7, 882), pytest.param(8, 1568, marks=pytest.mark.slow),
+                pytest.param(9, 2592, marks=pytest.mark.slow)],
+)
 def test_bm_validity_sweep(q, count):
     """bm_is_valid agrees with the brute-force line test on the full sweep."""
     f = field_for_q(q)
@@ -477,6 +501,14 @@ def test_bm_validity_sweep(q, count):
             valid += want
     assert valid == count
     assert len(all_valid_bm_params(f)) == count
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9])
+def test_all_valid_bm_params_equals_the_pairwise_filter(q):
+    """One verdict per (N(a), b^q - b) class gives the pairs bm_is_valid accepts one by one, in (a, b) order."""
+    f = field_for_q(q)
+    want = tuple(BMParams(a, b) for a in f.elements for b in f.elements if bm_is_valid(BMParams(a, b)))
+    assert all_valid_bm_params(f) == want
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
