@@ -28,6 +28,7 @@ import json
 import random
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from json.encoder import encode_basestring_ascii
 
 from . import __version__
 from .finite_field import Field, field_for_q
@@ -63,7 +64,28 @@ def intersect_size(A: PointSet, B: PointSet) -> int:
 
 
 def _dump(v, depth: int) -> str:
-    """json.dumps(v, sort_keys=True, indent=2) as it reads when nested `depth` levels deep."""
+    """json.dumps(v, sort_keys=True, indent=2) as it reads when nested `depth` levels deep.
+
+    str, int, bool, None, lists, tuples and str-keyed dicts are written here, as json's
+    encoder writes them; anything else (a float, an int-keyed dict) goes to json.dumps.
+    """
+    kind = type(v)
+    if kind is str:
+        return encode_basestring_ascii(v)
+    if kind is int:
+        return int.__repr__(v)
+    if v is None or kind is bool:
+        return "null" if v is None else "true" if v else "false"
+    inner = "\n" + "  " * (depth + 1)
+    if kind is list or kind is tuple:
+        if not v:
+            return "[]"
+        return f"[{inner}{(',' + inner).join([_dump(x, depth + 1) for x in v])}\n{'  ' * depth}]"
+    if kind is dict and all(type(k) is str for k in v):
+        if not v:
+            return "{}"
+        items = [f"{encode_basestring_ascii(k)}: {_dump(x, depth + 1)}" for k, x in sorted(v.items())]
+        return f"{{{inner}{(',' + inner).join(items)}\n{'  ' * depth}}}"
     return json.dumps(v, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
@@ -131,17 +153,17 @@ class CensusReport:
         """json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n", from cached fragments.
 
         `indent` keeps json on its pure-Python encoder, and the sweeps repeat
-        one descriptor object over many records and few distinct values in
-        the other fields.  So each descriptor is rendered once per object,
-        each other field once per repr (True == 1, but their reprs differ),
-        and the layout of a record is written here.
+        one descriptor and one congruence tuple over many records.  So each
+        descriptor and congruence tuple is rendered once per object, `extra`
+        (a copy per record) once per repr (True == 1, but their reprs differ),
+        `ok` and `size` directly, and the layout of a record is written here.
         """
-        desc = _memo(id, lambda v: _dump(v, 3))
-        value = _memo(repr, lambda v: _dump(v, 3))
+        obj = _memo(id, lambda v: _dump(v, 3))
+        extra = _memo(repr, lambda v: _dump(v, 3))
         rows = [
-            f'{{\n      "congruences": {value(r.congruences)},\n      "extra": {value(r.extra)},'
-            f'\n      "left": {desc(r.left)},\n      "ok": {value(r.ok)},'
-            f'\n      "right": {desc(r.right)},\n      "size": {value(r.size)}\n    }}'
+            f'{{\n      "congruences": {obj(r.congruences)},\n      "extra": {extra(r.extra)},'
+            f'\n      "left": {obj(r.left)},\n      "ok": {_dump(r.ok, 3)},'
+            f'\n      "right": {obj(r.right)},\n      "size": {_dump(r.size, 3)}\n    }}'
             for r in self.records
         ]
         records = "[\n    " + ",\n    ".join(rows) + "\n  ]" if rows else "[]"

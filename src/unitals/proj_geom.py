@@ -33,20 +33,29 @@ point by point: adding to row 0 translates its block of points, so each other
 mask is its neighbour's with one digit's bit groups rotated (see
 `_Space.subspace_masks`).
 
-A collineation x -> Mx maps a set through column tables: for each column j,
-the vectors c*M[:, j] for every c in `Field.multiples_enc` order (0, g^0, ...),
-built from rotated exp-table rows.  A point is kept as the positions of its
-coordinates in that order; its image is the sum of one table entry per nonzero
-coordinate, and its index is read off after scaling by 1 / leading coordinate.
+A collineation x -> Mx maps a set on packed GF(p)-digit lanes, one lane per
+point, as `varieties._zero_set` reads a variety.  y -> M[r][j]*y is GF(p)-linear
+on base-p digits, so each digit of each image coordinate is one sum of the
+set's digit lanes (kept per set, as its mask is) with GF(p) coefficients:
+big-integer additions of the lanes' multiples, reduced mod p by
+`_lane_residues`.  Each image coordinate y_r is then looked up as a key
+r*(Q - 1) + log y_r, or a flagged sentinel for 0, in 4-byte lanes.  Lane masks
+pick each point's least key, which names its leading coordinate j and the log
+of y_j, and one table entry per later coordinate, at key - least key, gives
+that coordinate's share of the point's index.  Every step is a big-integer
+operation, a `bytes.translate`, a slice or a `map` over a table: C-level passes
+over all the points, with no Python statement per point.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from operator import itemgetter
+from operator import itemgetter, mul
 
 from .finite_field import Field, FieldElem, make_field
 from .linalg import det_enc
@@ -117,10 +126,23 @@ class _Space:
         return tuple(tuple(elems[e] for e in pt) for pt in self.points)
 
     @cached_property
-    def positions(self) -> tuple[tuple[int, ...], ...]:
-        """Each point's coordinates as positions in `Field.multiples_enc` order: 0 for 0, else 1 + log."""
-        pos = [0, *(1 + lg for lg in self.field._log[1:])].__getitem__
-        return tuple(tuple(map(pos, pt)) for pt in self.points)
+    def image_tables(self) -> tuple[int, tuple[list[int], ...], tuple[list[int], ...]]:
+        """`_image_enc`'s (B, keys, parts).  An encoding y = lo + q*hi (lo, hi < q) is read as
+        s = lo + 256*hi.  With N = Q - 1 and L = n + 1 coordinates, keys[r][s] = r*N + log y
+        below LN, and 2^B >= 2LN for y = 0, so bit B flags a zero and a point's least key,
+        lead = j*N + log y_j, names its leading coordinate j.  parts[k][key - lead] is
+        coordinate k's share of the point's index: offsets[k] at 0 (k = j),
+        (y_k / y_j) * Q^(n-k) below LN (k > j), and 0 above LN (y_k = 0)."""
+        f, n, Q, q = self.field, self.n, self.field.size, self.field.q
+        N, L = Q - 1, n + 1
+        B = (2 * L * N - 1).bit_length()
+        encs = [lo + q * hi if lo < q else 0 for hi in range(q) for lo in range(256)]  # s -> y
+        keys = tuple([r * N + f._log[y] if y else 1 << B for y in encs] for r in range(L))
+        parts = tuple(
+            [self._offsets[k], *(f._exp[d % N] * Q ** (n - k) for d in range(1, L * N)), *[0] * ((1 << B) + 1 - L * N)]
+            for k in range(1, L)
+        )
+        return B, keys, parts
 
     def index_of(self, encs) -> int:
         """Canonical index of the point with these (any-scale) coordinate encodings."""
@@ -380,6 +402,16 @@ class PointSet:
     def mask(self) -> int:
         return _mask_of(self.members)
 
+    @cached_property
+    def _digit_multiples(self) -> list[list[int]]:
+        """[c * lane for c in range(p)] for each digit lane j*e + d (e = 2t), which holds base-p
+        digit d of coordinate j of every member, one lane of `_lane_width(p)` bytes per member:
+        `_image_enc`'s input, kept as `mask` is, since the censuses map one set many times."""
+        f, pts = self.field, _space(self.n, self.field).points
+        cols = zip(*map(pts.__getitem__, self.members))
+        lanes = (_pack(bytes(map(table.__getitem__, col)), _lane_width(f.p)) for col in cols for table in _digits(f))
+        return [[c * x for c in range(f.p)] for x in lanes]
+
     def complement(self) -> PointSet:
         """The other points, with the mask seeded by one XOR against the all-points mask."""
         count = _space(self.n, self.field).count
@@ -445,26 +477,96 @@ def apply_collineation(M, S: PointSet) -> PointSet:
     return _image_enc(enc, S)
 
 
+def _lane_width(p: int) -> int:
+    """Bytes per lane of a packed GF(p)-digit sum: one when a lane reduced mod p plus one term
+    c * digit <= (p - 1)^2 fits a byte, p(p - 1) <= 255; four otherwise."""
+    return 1 if p * (p - 1) <= 255 else 4
+
+
+@cache
+def _mod_table(p: int) -> bytes:
+    return bytes(x % p for x in range(256))
+
+
+def _pack(digits: bytes, lane: int) -> int:
+    """One value per byte, as an int with one lane of `lane` bytes per value."""
+    if lane == 1:
+        return int.from_bytes(digits, sys.byteorder)
+    lanes = bytearray(lane * len(digits))
+    lanes[(0 if sys.byteorder == "little" else lane - 1) :: lane] = digits
+    return int.from_bytes(lanes, sys.byteorder)
+
+
+def _residues(acc: int, p: int, lane: int, count: int) -> bytes:
+    """The `count` lanes of acc, each reduced mod p, one byte per lane."""
+    lanes = acc.to_bytes(lane * count, sys.byteorder)
+    if lane == 1:
+        return lanes.translate(_mod_table(p))
+    return bytes(map(p.__rmod__, memoryview(lanes).cast("I")))
+
+
+def _lane_residues(terms, p: int, count: int) -> bytes:
+    """sum(terms) mod p, one byte per lane, `count` lanes.
+
+    Every lane of a term (`_lane_width(p)` bytes) holds c * digit <= (p - 1)^2.  The
+    terms are summed in chunks, each by one C-level `sum`, as many as fit on a lane
+    reduced mod p, p - 1 + step * (p - 1)^2 < 256^lane; the lanes are reduced between
+    chunks.
+    """
+    lane, terms = _lane_width(p), iter(terms)
+    step = ((1 << 8 * lane) - p) // (p - 1) ** 2
+    acc = sum(itertools.islice(terms, step))
+    for first in terms:  # another chunk
+        acc = _pack(_residues(acc, p, lane, count), lane) + first + sum(itertools.islice(terms, step - 1))
+    return _residues(acc, p, lane, count)
+
+
+@cache
+def _digits(field: Field) -> tuple[list[int], ...]:
+    """Per base-p digit d, the list of digit d of every encoding."""
+    return tuple([x // field.p**d % field.p for x in range(field.size)] for d in range(field.degree))
+
+
+@cache
+def _times_digits(field: Field, m: int) -> tuple[tuple[int, ...], ...]:
+    """The GF(p)-matrix of y -> m*y on base-p digits: entry [k][d] is digit k of m * X^d."""
+    return tuple(zip(*(field._enc_to_poly(field.mul_enc(m, field.p**d)) for d in range(field.degree))))
+
+
 def _image_enc(M, S: PointSet) -> PointSet:
-    """Image of S under x -> Mx for a nonsingular M given as rows of encodings, by column tables."""
+    """Image of S under x -> Mx for a nonsingular M given as rows of encodings, on digit lanes.
+
+    Lane j*e + d holds digit d of coordinate j of every member (e = 2t).  Digit k of image
+    coordinate r sums the lanes times digit k of M[r][j] * X^d; its digits make the
+    coordinate's 2-byte encodings, read as 4-byte key lanes (`_Space.image_tables`).  Bit B
+    of a key flags y_r = 0, so lane masks pick each point's least key, `lead`; every lane of
+    key - lead is nonnegative, so one big-int subtraction gives them all.
+    """
     f, sp = S.field, _space(S.n, S.field)
-    Q, nm1, log, exp, add = f.size, f.size - 1, f._log, f._exp, f.add_enc
-    # cols[j][k]: the column c*M[:, j] as a tuple over the rows, for the c at position k
-    cols = [tuple(zip(*[f.multiples_enc(row[j]) for row in M])) for j in range(S.n + 1)]
-    pos, offsets, ids = sp.positions, sp._offsets, []
-    for i in S.members:
-        v = None
-        for col, c in zip(cols, pos[i]):
-            if c:
-                v = col[c] if v is None else map(add, v, col[c])
-        v = tuple(v)
-        j = 0
-        while not v[j]:
-            j += 1
-        inv, tail = nm1 - log[v[j]], 0  # the log of 1 / v[j], in (0, nm1]
-        for x in v[j + 1 :]:
-            tail = tail * Q + (x and exp[(log[x] + inv) % nm1])
-        ids.append(offsets[j] + tail)
-    out = PointSet.of(S.n, f, ids)
+    p, t, count, order = f.p, f.t, len(S), sys.byteorder
+    mults, powers = S._digit_multiples, [p**k for k in range(t)]
+    B, keys, parts = sp.image_tables
+    split, low = bytearray(2 * count), (0 if order == "little" else 1)  # lo in byte `low` of each H lane
+    ones = int.from_bytes(b"\1\0\0\0" * count, "little")  # 1 in every 4-byte lane
+    K, lead, taken = [], 0, 0
+    for r, row in enumerate(M):
+        # per digit k of y_r, the coefficients c of the lanes j*e + d: digit k of M[r][j] * X^d
+        coeffs = map(sum, zip(*(_times_digits(f, m) for m in row)), itertools.repeat(()))
+        digits = [
+            int.from_bytes(_lane_residues(itertools.compress(map(list.__getitem__, mults, c), c), p, count), order)
+            for c in coeffs
+        ]
+        for half in (0, 1):  # lo, then hi: digits < t, then the rest, each half a number < q <= 256
+            split[low ^ half :: 2] = sum(map(mul, powers, digits[half * t : (half + 1) * t])).to_bytes(count, order)
+        Kr = int.from_bytes(array("I", map(keys[r].__getitem__, memoryview(split).cast("H"))), order)
+        nonzero = ones ^ (Kr >> B & ones)
+        lead |= Kr & (nonzero ^ (nonzero & taken)) * 0xFFFFFFFF  # the lanes where y_r is the first nonzero
+        taken |= nonzero
+        K.append(Kr)
+    ids = sp._offsets[0] * (K[0] >> B & ones ^ ones)  # coordinate 0 leads wherever it is nonzero
+    for part, Kr in zip(parts, K[1:]):
+        diffs = memoryview((Kr - lead).to_bytes(4 * count, order)).cast("I")
+        ids += int.from_bytes(array("I", map(part.__getitem__, diffs)), order)
+    out = PointSet.of(S.n, f, memoryview(ids.to_bytes(4 * count, order)).cast("I"))
     assert len(out) == len(S)
     return out

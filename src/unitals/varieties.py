@@ -35,7 +35,9 @@ from functools import cache, cached_property, lru_cache, reduce
 
 from .finite_field import Field, FieldElem, abs_trace, frobenius, is_square
 from .linalg import _walk, det_enc, nullspace_mod_p
-from .proj_geom import PointSet, _point_encs, _space
+from .proj_geom import PointSet, _lane_residues, _lane_width, _pack, _point_encs, _space
+
+_ZERO_MARKS = bytes([1]) + bytes(255)  # a residue byte -> 1 if it is 0, else 0
 
 _FIT_ENUM_LIMIT = 1 << 20
 
@@ -136,8 +138,8 @@ def _cone_sizes(n: int, q: int) -> tuple[int, ...]:
 
 
 @cache
-def _value_rows(n: int, field: Field) -> tuple[int, bytes, bytes, tuple]:
-    """The packed value rows of PG(n, q^2): (lane bytes, mod-p table, zero table, rows).
+def _value_rows(n: int, field: Field) -> tuple[tuple[int, int, int, tuple[int, ...]], ...]:
+    """The packed value rows of PG(n, q^2).
 
     For i <= j and each GF(p)-digit d, B_ijd has X^d (the element encoded p^d) at
     (i, j) and conj(X^d) at (j, i); a conjugate-symmetric C is the sum of c * B_ijd
@@ -151,9 +153,7 @@ def _value_rows(n: int, field: Field) -> tuple[int, bytes, bytes, tuple]:
     product is a sum, and 2(q^2 - 1) stands for the log of 0, so any sum with a zero
     coordinate lands in the zero tail of the value tables.
 
-    Lanes are one byte when p(p - 1) <= 255: a lane reduced mod p plus one term
-    c * digit <= (p - 1)^2 then fits.  Larger p take four-byte lanes, which hold
-    the whole sum with no reduction.
+    Lanes follow `proj_geom._lane_width`: one byte when p(p - 1) <= 255, else four.
     """
     p, q, Q1 = field.p, field.q, field.size - 1
     log, conj = field._log, field._conj
@@ -172,7 +172,7 @@ def _value_rows(n: int, field: Field) -> tuple[int, bytes, bytes, tuple]:
     )
     logs = [2 * Q1, *log[1:]]
     cols = [list(map(logs.__getitem__, col)) for col in zip(*_space(n, field).points)]
-    lane, order = (1 if p * (p - 1) <= 255 else 4), sys.byteorder
+    lane = _lane_width(p)
     rows = []
     for i, j in itertools.combinations_with_replacement(range(n + 1), 2):
         for d in range(field.degree):
@@ -183,44 +183,27 @@ def _value_rows(n: int, field: Field) -> tuple[int, bytes, bytes, tuple]:
             else:  # log of X^d conj(x_i) x_j
                 shift = [(ld + q * lx) % Q1 for lx in range(Q1)] + [2 * Q1] * (Q1 + 1)
                 s, digits = list(map(operator.add, map(shift.__getitem__, cols[i]), cols[j])), trace_digits
-            packed = []
-            for table in digits:
-                lanes = bytearray(lane * len(s))  # a digit < p <= 251 is the low byte of its lane
-                lanes[(0 if order == "little" else lane - 1) :: lane] = bytes(map(table.__getitem__, s))
-                packed.append(int.from_bytes(lanes, order))
+            packed = tuple(_pack(bytes(map(table.__getitem__, s)), lane) for table in digits)
             if any(packed):
-                rows.append((i, j, p**d, tuple(packed)))
-    assert len(rows) * (p - 1) ** 2 < 1 << 32, "four-byte lanes could overflow"
-    return lane, bytes(x % p for x in range(256)), bytes(x % p == 0 for x in range(256)), tuple(rows)
+                rows.append((i, j, p**d, packed))
+    return tuple(rows)
 
 
 def _zero_set(n: int, field: Field, C) -> PointSet:
     """V(C) for a conjugate-symmetric C (rows of encodings), read off `_value_rows`.
 
-    Per checked value digit, the lanes sum c * row over the nonzero digits c of C's
-    entries on and above the diagonal; a one-byte lane is reduced mod p before it
-    could pass 255.  A point is on V(C) when each sum is 0 mod p: one
-    `bytes.translate` per value digit marks those lanes, the marks are ANDed and the
-    members read with `itertools.compress`.  AssertionError unless the size is that
-    of a form of some rank, `_cone_sizes`.
+    Per checked value digit, `proj_geom._lane_residues` sums c * row mod p over the
+    nonzero digits c of C's entries on and above the diagonal.  A point is on V(C)
+    when each sum is 0: one `bytes.translate` per value digit marks those lanes, the
+    marks are ANDed and the members read with `itertools.compress`.  AssertionError
+    unless the size is that of a form of some rank, `_cone_sizes`.
     """
-    lane, mod, zero, rows = _value_rows(n, field)
+    rows = _value_rows(n, field)
     p, count, order = field.p, _space(n, field).count, sys.byteorder
-    top = (1 << 8 * lane) - 1
     terms = [(c, packed) for i, j, pd, packed in rows if (c := C[i][j] // pd % p)]
     keep = (1 << 8 * count) - 1
     for e in range(field.t):
-        acc = bound = 0
-        for c, packed in terms:
-            if bound + c * (p - 1) > top:  # one-byte lanes only: four-byte ones hold the whole sum
-                acc, bound = int.from_bytes(acc.to_bytes(count, order).translate(mod), order), p - 1
-            acc += c * packed[e]
-            bound += c * (p - 1)
-        lanes = acc.to_bytes(lane * count, order)
-        if lane == 1:
-            marks = lanes.translate(zero)
-        else:
-            marks = bytes(map(operator.not_, map(p.__rmod__, memoryview(lanes).cast("I"))))
+        marks = _lane_residues((c * packed[e] for c, packed in terms), p, count).translate(_ZERO_MARKS)
         keep &= int.from_bytes(marks, order)
     members = tuple(itertools.compress(range(count), keep.to_bytes(count, order)))
     if len(members) not in _cone_sizes(n, field.q):
@@ -444,7 +427,9 @@ def blocks_of(S: PointSet) -> tuple[tuple[int, ...], ...]:
     overflows or ends short is an AssertionError.
     """
     check, counts = _line_sections(S)
-    _line_sections.cache_clear()  # the pass is used up
+    _line_sections.cache_clear()  # the pass is used up; its counts are kept for check_property_I
+    _kept_counts.clear()
+    _kept_counts[S.n, S.field, S.mask] = counts
     if not check.ok:
         raise ValueError(f"not a unital: profile {check.profile}, size {check.size}")
     q = S.field.q
@@ -497,6 +482,21 @@ def _lines_through(field: Field, i: int) -> list[int]:
     return [*map(operator.add, slopes[y](rows[z]), cs), Q * Q + y]
 
 
+# (n, field, mask) -> line counts of the last set `blocks_of` read: its complement's line
+# sections are q^2 + 1 minus them, which `verify-unital` reads next.  The field is in the key,
+# so a set of another field with an equal mask never reads them.
+_kept_counts: dict = {}
+
+
+def _line_counts(S: PointSet):
+    """|L & S| for each line L, in enumeration order: q^2 + 1 - c from the kept counts when S
+    is the complement of the last set `blocks_of` read, else one popcount per line."""
+    counts = _kept_counts.get((S.n, S.field, ((1 << _space(S.n, S.field).count) - 1) ^ S.mask))
+    if counts is None:
+        return _sections(S, 2)
+    return map((S.field.size + 1).__sub__, counts)
+
+
 def check_property_I(S: PointSet, r: int, beta: int) -> bool:
     """Every r-dim subspace meets S in a multiple of p^beta points."""
     if not 1 < r <= S.n:
@@ -504,7 +504,7 @@ def check_property_I(S: PointSet, r: int, beta: int) -> bool:
     if beta < 0:
         raise ValueError("beta must be >= 0")
     pb = S.field.p**beta
-    return all(c % pb == 0 for c in _sections(S, r))
+    return all(c % pb == 0 for c in (_line_counts(S) if r == 2 else _sections(S, r)))
 
 
 # ---------------------------------------------------------------------------

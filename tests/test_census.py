@@ -8,6 +8,7 @@ import weakref
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unitals import census
 from unitals.census import (
@@ -15,6 +16,7 @@ from unitals.census import (
     HERMITIAN_SAMPLES,
     CensusRecord,
     CensusReport,
+    _dump,
     _sweep,
     bm_vs_hermitian_census,
     canonical_hermitian_unital,
@@ -160,6 +162,23 @@ REPORT_DIGESTS = {
         "55b616a3110fce3710c7e616d7316b09ea4826eff53ed2f0c9a61ed1b0492d3a",
         "a4429a83ac46b617e41b131fc2c4823f141ec8a613e8fb9dbbdceda97b8fe301",
     ),
+    # collineation images end to end at p = 7, at p = 2 with six digits and at p = 3 with
+    # four, frozen while each image was still mapped point by point
+    "nonhermitian_q7": (
+        lambda: nonhermitian_pair_scan(7, samples=20),
+        "10f56ecba7ac3c650fece2d7f59e6d9bf5d46f27b6421cb884989ca4e99289d2",
+        "3f7de511f4ff4d9b838c820628984dc98d24493626cd66c1c2633374dec9a413",
+    ),
+    "nonhermitian_q8": (
+        lambda: nonhermitian_pair_scan(8, samples=20),
+        "a8939cc8b82b90538914129f95bf6698042643388d166582c1ea5c7dcb9ad0ec",
+        "3abfd7ea875dfa8a2e361be856a85dcb4ef3d15ce7b441928c6f14816f390570",
+    ),
+    "nonhermitian_q9": (
+        lambda: nonhermitian_pair_scan(9, samples=20),
+        "facf02fe283bd4ac07039009fdb38daf0a8b6deb9804de16d15474115e24ec7f",
+        "9a38569d7a17230d812c81be40b8904a88d84f5af69c6cc7bde3f96e9d29224f",
+    ),
 }
 
 
@@ -218,6 +237,31 @@ def test_report_serialisers_match_json_dumps(case):
     rep = SERIALISER_CASES[case]()
     assert rep.to_json() == _reference_json(rep)
     assert rep.to_csv() == _reference_csv(rep)
+
+
+_json_scalars = (
+    st.none()
+    | st.sampled_from([True, False, 0, 1, -1])  # True == 1 and False == 0, yet they render apart
+    | st.integers()
+    | st.integers(min_value=-(10**40), max_value=10**40)
+    | st.text()  # any code point: non-ASCII, control characters, quotes and backslashes
+    | st.floats(allow_nan=False)  # json.dumps's own route
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4)
+    | st.dictionaries(st.integers(-5, 12), inner, max_size=4),  # int keys sort as ints, then turn into strings
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_json_values, depth=st.integers(0, 4))
+def test_dump_matches_json_dumps_nested(value, depth):
+    """_dump(v, d) is json.dumps(v, sort_keys=True, indent=2) as it reads nested d levels deep."""
+    assert _dump(value, depth) == json.dumps(value, sort_keys=True, indent=2).replace("\n", "\n" + "  " * depth)
 
 
 def test_serialiser_tells_true_from_one_and_rerenders_each_call():

@@ -357,9 +357,9 @@ def _corrupt_value_row(monkeypatch):
 
     # one more in lane 0 (the point (0, 0, 1)) of the first row, the digit form X^0 N(x_0)
     def corrupt(n, field):
-        lane, mod, zero, rows = build(n, field)
+        rows = build(n, field)
         i, j, pd, packed = rows[0]
-        return lane, mod, zero, ((i, j, pd, tuple(x + 1 for x in packed)), *rows[1:])
+        return ((i, j, pd, tuple(x + 1 for x in packed)), *rows[1:])
 
     monkeypatch.setattr(varieties, "_value_rows", corrupt)
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import random
 import sys
 import tracemalloc
 
@@ -390,23 +391,46 @@ def test_apply_collineation_refuses_malformed_matrices(case):
         apply_collineation(M, S)
 
 
-# (1, 37): GF(37^2) has 1,369 elements, beyond the add table, so sums take the digit route
+# Lane widths of `_image_enc`: one byte when p(p - 1) <= 255, reduced mod p once at the end while
+# (n + 1) * 2t terms fit (p = 7 just fits six), between chunks beyond that (p = 11: two terms a chunk);
+# four bytes for p = 17 and 37.  (2, 16) has Q = 256, the largest field whose encodings fit a byte.
+IMAGE_CASES = [(1, 37), (2, 2), (2, 3), (2, 4), (2, 5), (2, 7), (2, 8), (2, 9), (2, 11), (2, 16), (2, 17), (3, 2), (3, 3)]
+
+
+def _nonsingular(f, n, M):
+    """M, or the coordinate shift x_j -> x_(j+1) when M is singular."""
+    if det_enc(f, M):
+        return M
+    return tuple(tuple(int(j == (i + 1) % (n + 1)) for j in range(n + 1)) for i in range(n + 1))
+
+
 @settings(max_examples=150, deadline=None)
-@given(case=st.sampled_from([(1, 37), (2, 2), (2, 3), (2, 4), (2, 5), (2, 8), (2, 9), (3, 2), (3, 3)]), data=st.data())
-def test_image_by_column_tables_matches_mat_vec_reference(case, data):
+@given(case=st.sampled_from(IMAGE_CASES), data=st.data())
+def test_image_on_digit_lanes_matches_mat_vec_reference(case, data):
     """_image_enc equals one mat-vec and one normalising index_of per point, on random sets and matrices."""
     n, q = case
     f = field_for_q(q)
     sp = _space(n, f)
     row = st.tuples(*[st.integers(0, f.size - 1)] * (n + 1))
-    M = data.draw(st.tuples(*[row] * (n + 1)))
-    if not det_enc(f, M):  # a singular draw becomes the coordinate shift x_j -> x_(j+1)
-        M = tuple(tuple(int(j == (i + 1) % (n + 1)) for j in range(n + 1)) for i in range(n + 1))
+    M = _nonsingular(f, n, data.draw(st.tuples(*[row] * (n + 1))))
     members = data.draw(st.sets(st.integers(0, sp.count - 1), max_size=60))
     # points before _offsets[0] have a zero first coordinate, so their leading coordinate comes later
     members |= data.draw(st.sets(st.integers(0, sp._offsets[0] - 1), min_size=1, max_size=10))
     S = PointSet.of(n, f, members)
     assert _image_enc(M, S) == image_by_mat_vec(M, S)
+
+
+@pytest.mark.parametrize("case", IMAGE_CASES)
+def test_image_of_the_empty_set_and_of_the_whole_space(case):
+    """A collineation maps no points to none, and every point onto the whole space."""
+    n, q = case
+    f = field_for_q(q)
+    rng = random.Random(q)
+    M = _nonsingular(f, n, tuple(tuple(rng.randrange(f.size) for _ in range(n + 1)) for _ in range(n + 1)))
+    empty = PointSet(n, f, ())
+    whole = empty.complement()
+    assert _image_enc(M, empty) == empty
+    assert _image_enc(M, whole) == whole
 
 
 @settings(max_examples=60, deadline=None)

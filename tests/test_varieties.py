@@ -590,6 +590,49 @@ def test_check_property_I_refuses_an_oversized_line_table():
         check_property_I(S, r=2, beta=1)
 
 
+def _other_field(f):
+    """GF(q^2) under another modulus: the same point indices name other points."""
+    return make_field(f.p, f.t, next(m for m in irreducible_moduli(f.p, f.degree) if m != f.modulus))
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([3, 4]), data=st.data())
+def test_line_counts_read_the_kept_counts_for_the_complement_only(q, data):
+    """_line_counts is the popcount per line for the complement of the last set blocks_of read (from
+    its kept counts), for that set, for random sets and for the same mask over another field."""
+    from unitals.varieties import _line_counts, _sections
+
+    f = field_for_q(q)
+    U = bm_unital(data.draw(st.sampled_from(all_valid_bm_params(f))))
+    blocks_of(U)
+    comp = U.complement()
+    assert list(_line_counts(comp)) == list(_sections(comp, 2))
+    S = PointSet.of(2, f, data.draw(st.sets(st.integers(0, _space(2, f).count - 1))))
+    assert list(_line_counts(S)) == list(_sections(S, 2))
+    assert list(_line_counts(U)) == list(_sections(U, 2))
+    other = PointSet(2, _other_field(f), comp.members)  # an equal mask, other lines
+    assert list(_line_counts(other)) == list(_sections(other, 2)) != list(_sections(comp, 2))
+
+
+def test_property_I_of_the_complement_reads_no_second_line_pass(monkeypatch):
+    """verify-unital's order: the unital check, its blocks, then property I of the complement, in one line pass."""
+    from unitals import varieties
+
+    passes = []
+    sections = varieties._sections
+    monkeypatch.setattr(varieties, "_sections", lambda S, r: passes.append(len(S)) or sections(S, r))
+    f = field_for_q(4)
+    U = bm_unital(all_valid_bm_params(f)[-1])
+    assert is_unital_embedded(U) and blocks_of(U)
+    assert check_property_I(U.complement(), 2, f.t)
+    assert passes == [len(U)]
+    comp = U.complement()
+    assert not check_property_I(U, 2, f.t)  # the set itself is read afresh
+    # over another field the same indices are no unital's complement: its own lines say so, not the kept counts
+    assert not check_property_I(PointSet(2, _other_field(f), comp.members), 2, f.t)
+    assert passes == [len(U), len(U), len(comp)]
+
+
 def test_fit_hermitian_form_recovers_the_identity():
     f = field_for_q(3)
     H = hermitian_variety(HermitianForm.identity(2, f))
