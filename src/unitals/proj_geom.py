@@ -33,11 +33,16 @@ point by point: adding to row 0 translates its block of points, so each other
 mask is its neighbour's with one digit's bit groups rotated (see
 `_Space.subspace_masks`).
 
+A PointSet keeps three views of itself, each built on first use and kept for
+the set's lifetime: `mask`, `line_counts` (one byte per line, |L & S|) and
+the digit lanes a collineation reads.  Its complement is born with the mask
+and, when they exist, the line counts, each by one C-level pass.
+
 A collineation x -> Mx maps a set on packed GF(p)-digit lanes, one lane per
 point, as `varieties._zero_set` reads a variety.  y -> M[r][j]*y is GF(p)-linear
 on base-p digits, so each digit of each image coordinate is one sum of the
-set's digit lanes (kept per set, as its mask is) with GF(p) coefficients:
-big-integer additions of the lanes' multiples, reduced mod p by
+set's digit lanes with GF(p) coefficients: big-integer additions of the
+lanes times their coefficients, reduced mod p by
 `_lane_residues`.  Each image coordinate y_r is then looked up as a key
 r*(Q - 1) + log y_r, or a flagged sentinel for 0, in 4-byte lanes.  Lane masks
 pick each point's least key, which names its leading coordinate j and the log
@@ -55,7 +60,7 @@ from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
-from operator import itemgetter, mul
+from operator import itemgetter, lt, mul
 
 from .finite_field import Field, FieldElem, make_field
 from .linalg import det_enc
@@ -378,14 +383,12 @@ class PointSet:
     members: tuple[int, ...]
 
     def __post_init__(self):
-        count = _space(self.n, self.field).count
-        last = -1
-        for i in self.members:
-            if i <= last or i >= count:
-                if 0 <= i < count:
-                    raise ValueError("members must be strictly increasing indices")
-                raise ValueError(f"member {i} is not a point index of PG({self.n}, {self.field.size}) (0..{count - 1})")
-            last = i
+        m, count = self.members, _space(self.n, self.field).count
+        if m and (min(m) < 0 or max(m) >= count):
+            i = next(i for i in m if not 0 <= i < count)
+            raise ValueError(f"member {i} is not a point index of PG({self.n}, {self.field.size}) (0..{count - 1})")
+        if not all(map(lt, m, itertools.islice(m, 1, None))):
+            raise ValueError("members must be strictly increasing indices")
 
     @staticmethod
     def of(n: int, field: Field, indices) -> PointSet:
@@ -403,21 +406,31 @@ class PointSet:
         return _mask_of(self.members)
 
     @cached_property
-    def _digit_multiples(self) -> list[list[int]]:
-        """[c * lane for c in range(p)] for each digit lane j*e + d (e = 2t), which holds base-p
-        digit d of coordinate j of every member, one lane of `_lane_width(p)` bytes per member:
-        `_image_enc`'s input, kept as `mask` is, since the censuses map one set many times."""
+    def line_counts(self) -> bytes:
+        """|L & S| for each line L of PG(n, q^2), in enumeration order: one popcount per line.
+        A byte each is enough: MAX_MASK_BITS refuses every line table with Q >= 256, so no
+        line has more than 170 points."""
+        smask = self.mask
+        return bytes((m & smask).bit_count() for m in _space(self.n, self.field).subspace_masks(2))
+
+    @cached_property
+    def _digit_lanes(self) -> list[int]:
+        """Digit lane j*e + d (e = 2t) holds base-p digit d of coordinate j of every member, one
+        lane of `_lane_width(p)` bytes per member: `_image_enc`'s input, kept as `mask` is,
+        since the censuses map one set many times."""
         f, pts = self.field, _space(self.n, self.field).points
         cols = zip(*map(pts.__getitem__, self.members))
-        lanes = (_pack(bytes(map(table.__getitem__, col)), _lane_width(f.p)) for col in cols for table in _digits(f))
-        return [[c * x for c in range(f.p)] for x in lanes]
+        return [_pack(bytes(map(table.__getitem__, col)), _lane_width(f.p)) for col in cols for table in _digits(f)]
 
     def complement(self) -> PointSet:
-        """The other points, with the mask seeded by one XOR against the all-points mask."""
-        count = _space(self.n, self.field).count
+        """The other points, with the mask seeded by one XOR against the all-points mask and,
+        when this set's line counts exist, the complement's by one translate, c -> Q + 1 - c."""
+        count, Q = _space(self.n, self.field).count, self.field.size
         others = itertools.filterfalse(set(self.members).__contains__, range(count))
         out = PointSet(self.n, self.field, tuple(others))
         out.__dict__["mask"] = ((1 << count) - 1) ^ self.mask
+        if "line_counts" in self.__dict__:
+            out.__dict__["line_counts"] = self.line_counts.translate(bytes(range(Q + 1, -1, -1)).ljust(256, b"\0"))
         return out
 
     def coords(self) -> tuple[tuple[FieldElem, ...], ...]:
@@ -544,7 +557,7 @@ def _image_enc(M, S: PointSet) -> PointSet:
     """
     f, sp = S.field, _space(S.n, S.field)
     p, t, count, order = f.p, f.t, len(S), sys.byteorder
-    mults, powers = S._digit_multiples, [p**k for k in range(t)]
+    lanes, powers = S._digit_lanes, [p**k for k in range(t)]
     B, keys, parts = sp.image_tables
     split, low = bytearray(2 * count), (0 if order == "little" else 1)  # lo in byte `low` of each H lane
     ones = int.from_bytes(b"\1\0\0\0" * count, "little")  # 1 in every 4-byte lane
@@ -553,7 +566,7 @@ def _image_enc(M, S: PointSet) -> PointSet:
         # per digit k of y_r, the coefficients c of the lanes j*e + d: digit k of M[r][j] * X^d
         coeffs = map(sum, zip(*(_times_digits(f, m) for m in row)), itertools.repeat(()))
         digits = [
-            int.from_bytes(_lane_residues(itertools.compress(map(list.__getitem__, mults, c), c), p, count), order)
+            int.from_bytes(_lane_residues(itertools.compress(map(mul, lanes, c), c), p, count), order)
             for c in coeffs
         ]
         for half in (0, 1):  # lo, then hi: digits < t, then the rest, each half a number < q <= 256

@@ -19,7 +19,10 @@ which is Hermitian exactly when a = 0 (with b outside GF(q)).  Validity of
 (a, b) is one discriminant/trace criterion on a^(q+1) and b^q - b; see bm_is_valid.
 
 A unital is any set of q^3+1 points meeting every line in 1 or q+1 points;
-its secant-line sections are the blocks of a 2-(q^3+1, q+1, 1) design.
+its secant-line sections are the blocks of a 2-(q^3+1, q+1, 1) design.  The
+unital check, the blocks, the fit's line bound and property I on lines all
+read the set's own `PointSet.line_counts`, one popcount pass per set object
+in any call order; a complement made after that pass is born with its counts.
 """
 
 from __future__ import annotations
@@ -271,13 +274,9 @@ def bm_is_valid(params: BMParams) -> bool:
     branches agree with the exhaustive brute-force line test at q = 3, 4, 5 and 7,
     and at q = 8 and 9 in the slow tests.
     """
-    return _bm_valid_enc(params.field, params.a.enc, params.b.enc)
-
-
-def _bm_valid_enc(field: Field, a: int, b: int) -> bool:
-    """bm_is_valid on the encodings of a and b: the criterion on N(a) = a^(q+1) and d = b^q - b."""
+    field, b = params.field, params.b.enc
     d = field.add_enc(field._conj[b], field.neg_enc(b))
-    return _bm_valid_nd(field, field.pow_enc(a, field.q + 1), d)
+    return _bm_valid_nd(field, field.pow_enc(params.a.enc, field.q + 1), d)
 
 
 def _bm_valid_nd(field: Field, norm: int, d: int) -> bool:
@@ -381,33 +380,19 @@ def _sections(S: PointSet, r: int):
     return ((m & smask).bit_count() for m in _space(S.n, S.field).subspace_masks(r))
 
 
-@lru_cache(maxsize=1)
-def _line_sections(S: PointSet) -> tuple[UnitalCheck, list[int]]:
-    """The unital check of a plane set, with the line sections it was read from (read-only).
-
-    The last set's pass is kept until `blocks_of` uses it, so `is_unital_embedded`
-    then `blocks_of` on one set (`verify-unital` does both) read the lines once, and
-    no set's sections outlive its blocks.  A list, not a tuple: tuples built from the
-    generator raised geometry-q789 peak RSS by up to 0.16 MiB in single worker runs.
-    """
+def is_unital_embedded(S: PointSet) -> UnitalCheck:
+    """Check |S| = q^3+1 and every line meets S in 1 or q+1 points (`PointSet.line_counts`)."""
     if S.n != 2:
         raise ValueError("unital check lives in a projective plane (n = 2)")
     q = S.field.q
-    counts = list(_sections(S, 2))
-    hist = Counter(counts)
-    check = UnitalCheck(
+    hist = Counter(S.line_counts)
+    return UnitalCheck(
         ok=len(S) == q**3 + 1 and set(hist) <= {1, q + 1},
         size=len(S),
         tangent_count=hist[1],
         secant_count=hist[q + 1],
         profile=tuple(sorted(hist.items())),
     )
-    return check, counts
-
-
-def is_unital_embedded(S: PointSet) -> UnitalCheck:
-    """Check |S| = q^3+1 and every line meets S in 1 or q+1 points."""
-    return _line_sections(S)[0]
 
 
 def blocks_of(S: PointSet) -> tuple[tuple[int, ...], ...]:
@@ -422,20 +407,17 @@ def blocks_of(S: PointSet) -> tuple[tuple[int, ...], ...]:
     Each section is built from the set's own incidences: every member, in ascending
     order, goes into the sections of its q^2+1 lines (`_lines_through`), v(q^2+1)
     incidences in all, where scanning each secant line for members would visit
-    q^2(q^2-q+1)(q^2+1) points.  A section holds exactly its line's popcount from
-    `_line_sections`, a second route to the same line table: a section that
+    q^2(q^2-q+1)(q^2+1) points.  A section holds exactly its line's popcount in
+    `S.line_counts`, a second route to the same line table: a section that
     overflows or ends short is an AssertionError.
     """
-    check, counts = _line_sections(S)
-    _line_sections.cache_clear()  # the pass is used up; its counts are kept for check_property_I
-    _kept_counts.clear()
-    _kept_counts[S.n, S.field, S.mask] = counts
+    check = is_unital_embedded(S)
     if not check.ok:
         raise ValueError(f"not a unital: profile {check.profile}, size {check.size}")
-    q = S.field.q
+    q, counts = S.field.q, S.line_counts
     # sized up front: appending over-allocates, which raised peak RSS by 0.16 MiB at q = 9
     sections = [[None] * c for c in counts]
-    fill = [0] * len(counts)
+    fill = bytearray(len(counts))  # each fill stays within its count, below 256
     try:
         for i in S.members:
             for line in _lines_through(S.field, i):
@@ -482,21 +464,6 @@ def _lines_through(field: Field, i: int) -> list[int]:
     return [*map(operator.add, slopes[y](rows[z]), cs), Q * Q + y]
 
 
-# (n, field, mask) -> line counts of the last set `blocks_of` read: its complement's line
-# sections are q^2 + 1 minus them, which `verify-unital` reads next.  The field is in the key,
-# so a set of another field with an equal mask never reads them.
-_kept_counts: dict = {}
-
-
-def _line_counts(S: PointSet):
-    """|L & S| for each line L, in enumeration order: q^2 + 1 - c from the kept counts when S
-    is the complement of the last set `blocks_of` read, else one popcount per line."""
-    counts = _kept_counts.get((S.n, S.field, ((1 << _space(S.n, S.field).count) - 1) ^ S.mask))
-    if counts is None:
-        return _sections(S, 2)
-    return map((S.field.size + 1).__sub__, counts)
-
-
 def check_property_I(S: PointSet, r: int, beta: int) -> bool:
     """Every r-dim subspace meets S in a multiple of p^beta points."""
     if not 1 < r <= S.n:
@@ -504,7 +471,7 @@ def check_property_I(S: PointSet, r: int, beta: int) -> bool:
     if beta < 0:
         raise ValueError("beta must be >= 0")
     pb = S.field.p**beta
-    return all(c % pb == 0 for c in (_line_counts(S) if r == 2 else _sections(S, r)))
+    return all(c % pb == 0 for c in (S.line_counts if r == 2 else _sections(S, r)))
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +507,7 @@ def fit_hermitian_form(S: PointSet) -> HermitianForm | None:
     if not basis:
         return None
     # beyond one form's GF(q)-multiples: a nonsingular Hermitian curve meets each line in 1 or q + 1 points
-    if len(basis) > 1 and S.n == 2 and max(_sections(S, 2)) > q + 1:
+    if len(basis) > 1 and S.n == 2 and max(S.line_counts) > q + 1:
         return None
 
     if q ** len(basis) > _FIT_ENUM_LIMIT:

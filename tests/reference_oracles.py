@@ -6,6 +6,7 @@ compute something that `src/unitals` computes a faster way, or, as
 the library relies on without checking it.
 """
 
+import collections
 import functools
 import itertools
 
@@ -16,7 +17,6 @@ from unitals.varieties import (
     _FIT_ENUM_LIMIT,
     HermitianForm,
     _canonical_variety,
-    _line_sections,
 )
 
 _TEICH_ENUM_LIMIT = 1 << 16
@@ -328,17 +328,14 @@ def fit_hermitian_form_full_system(S: PointSet) -> HermitianForm | None:
 
 
 def blocks_of_by_line_scan(S: PointSet) -> tuple[tuple[int, ...], ...]:
-    """Secant-line sections of a unital, each read by scanning every point of its line for membership."""
-    check, counts = _line_sections(S)
-    if not check.ok:
-        raise ValueError(f"not a unital: profile {check.profile}, size {check.size}")
-    q = S.field.q
-    members = set(S.members)
-    blocks = tuple(
-        tuple(i for i in ids if i in members)
-        for ids, c in zip(_space(2, S.field).subspace_point_indices(2), counts)
-        if c == q + 1
-    )
+    """Secant-line sections of a unital, each read by scanning every point of its line for membership;
+    the line profile is taken from the same scan, not from the set's line counts."""
+    q, members = S.field.q, set(S.members)
+    sections = [tuple(i for i in ids if i in members) for ids in _space(2, S.field).subspace_point_indices(2)]
+    profile = tuple(sorted(collections.Counter(map(len, sections)).items()))
+    if len(S) != q**3 + 1 or {c for c, _ in profile} - {1, q + 1}:
+        raise ValueError(f"not a unital: profile {profile}, size {len(S)}")
+    blocks = tuple(sec for sec in sections if len(sec) == q + 1)
     check_design_by_scan(S.members, blocks, q + 1, q * q * (q * q - q + 1))
     return blocks
 

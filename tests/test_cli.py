@@ -237,13 +237,15 @@ BAD_MEMBERS = {
     "negative": ([-3, 0], "member -3 is not a point index of PG(2, 4) (0..20)"),
     "descending": ([4, 3], "members must be strictly increasing indices"),
     "repeated": ([4, 4], "members must be strictly increasing indices"),
+    "descending past the last point": ([4, 3, 99], "member 99 is not a point index of PG(2, 4) (0..20)"),
     "not a list": (5, "point set members must be a JSON list, not int"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(BAD_MEMBERS))
 def test_verify_unital_names_the_bad_member(tmp_path, capsys, case):
-    """An index outside the plane is named with the valid range; order faults keep their own message."""
+    """An index outside the plane is named with the valid range, before any order fault; order faults keep
+    their own message."""
     members, message = BAD_MEMBERS[case]
     path = tmp_path / "in.json"
     path.write_text(json.dumps({"n": 2, "p": 2, "t": 1, "members": members}))

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -15,7 +16,6 @@ from unitals.varieties import (
     _canonical_variety,
     _cone_sizes,
     _draw_form,
-    _line_sections,
     _lines_through,
     _random_form_candidates,
     _zero_set,
@@ -396,26 +396,6 @@ def test_blocks_of_equals_the_line_scan(sets, q):
         assert blocks_of(U) == blocks_of_by_line_scan(U)
 
 
-def test_blocks_of_after_the_unital_check_reads_the_lines_once(monkeypatch):
-    """is_unital_embedded then blocks_of on one set make one line pass; another set makes its own."""
-    from unitals import varieties
-
-    passes = []
-    sections = varieties._sections
-    monkeypatch.setattr(varieties, "_sections", lambda S, r: passes.append(len(S)) or sections(S, r))
-    _line_sections.cache_clear()
-    f = field_for_q(3)
-    U, H = bm_unital(all_valid_bm_params(f)[-1]), hermitian_variety(HermitianForm.identity(2, f))
-    assert is_unital_embedded(U)
-    blocks = blocks_of(U)
-    assert passes == [28]
-    assert blocks == blocks_of_by_line_scan(U)  # blocks_of used the pass up: the reference reads the lines again
-    assert passes == [28, 28]
-    assert is_unital_embedded(H) and is_unital_embedded(U) and is_unital_embedded(U)  # one set is held at a time
-    assert passes == [28, 28, 28, 28]
-    _line_sections.cache_clear()
-
-
 def _design_outcome(check, points, blocks, k, b):
     try:
         check(points, blocks, k, b)
@@ -590,47 +570,51 @@ def test_check_property_I_refuses_an_oversized_line_table():
         check_property_I(S, r=2, beta=1)
 
 
-def _other_field(f):
-    """GF(q^2) under another modulus: the same point indices name other points."""
-    return make_field(f.p, f.t, next(m for m in irreducible_moduli(f.p, f.degree) if m != f.modulus))
+@settings(max_examples=60, deadline=None)
+@given(nq=st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2)]), kind=st.sampled_from(["random", "empty", "all"]), data=st.data())
+def test_line_counts_are_the_popcounts_and_complements_inherit_them(nq, kind, data):
+    """S.line_counts is one popcount per line; a complement made after they exist is born with its own
+    counts (Q + 1 - c), and so is the complement of that complement."""
+    from unitals.varieties import _sections
 
-
-@settings(max_examples=40, deadline=None)
-@given(q=st.sampled_from([3, 4]), data=st.data())
-def test_line_counts_read_the_kept_counts_for_the_complement_only(q, data):
-    """_line_counts is the popcount per line for the complement of the last set blocks_of read (from
-    its kept counts), for that set, for random sets and for the same mask over another field."""
-    from unitals.varieties import _line_counts, _sections
-
+    n, q = nq
     f = field_for_q(q)
-    U = bm_unital(data.draw(st.sampled_from(all_valid_bm_params(f))))
-    blocks_of(U)
-    comp = U.complement()
-    assert list(_line_counts(comp)) == list(_sections(comp, 2))
-    S = PointSet.of(2, f, data.draw(st.sets(st.integers(0, _space(2, f).count - 1))))
-    assert list(_line_counts(S)) == list(_sections(S, 2))
-    assert list(_line_counts(U)) == list(_sections(U, 2))
-    other = PointSet(2, _other_field(f), comp.members)  # an equal mask, other lines
-    assert list(_line_counts(other)) == list(_sections(other, 2)) != list(_sections(comp, 2))
+    count = _space(n, f).count
+    if kind == "random":
+        S = PointSet.of(n, f, data.draw(st.sets(st.integers(0, count - 1))))
+    else:
+        S = PointSet(n, f, tuple(range(count)) if kind == "all" else ())
+    fresh = S.complement()  # made before S's counts exist: it reads its own
+    assert "line_counts" not in fresh.__dict__
+    assert S.line_counts == bytes(_sections(S, 2))
+    assert fresh.line_counts == bytes(_sections(fresh, 2))
+    comp = S.complement()
+    assert "line_counts" in comp.__dict__
+    assert comp.line_counts == bytes(_sections(comp, 2)) == fresh.line_counts
+    back = comp.complement()
+    assert "line_counts" in back.__dict__ and back.line_counts == S.line_counts
+    assert back.line_counts == bytes(_sections(back, 2))
 
 
-def test_property_I_of_the_complement_reads_no_second_line_pass(monkeypatch):
-    """verify-unital's order: the unital check, its blocks, then property I of the complement, in one line pass."""
-    from unitals import varieties
-
+@pytest.mark.parametrize("order", list(itertools.permutations(["check", "blocks", "property I"])), ids=" > ".join)
+def test_verify_unital_calls_read_the_lines_once_per_set_in_any_order(monkeypatch, order):
+    """verify-unital's three calls (unital check, blocks, property I of the complement made at its call)
+    make one line pass per set object whatever their order: none once the complement inherits U's counts."""
     passes = []
-    sections = varieties._sections
-    monkeypatch.setattr(varieties, "_sections", lambda S, r: passes.append(len(S)) or sections(S, r))
+    func = PointSet.line_counts.func
+    counted = functools.cached_property(lambda S: passes.append(S) or func(S))
+    counted.__set_name__(PointSet, "line_counts")
+    monkeypatch.setattr(PointSet, "line_counts", counted)
     f = field_for_q(4)
     U = bm_unital(all_valid_bm_params(f)[-1])
-    assert is_unital_embedded(U) and blocks_of(U)
-    assert check_property_I(U.complement(), 2, f.t)
-    assert passes == [len(U)]
-    comp = U.complement()
-    assert not check_property_I(U, 2, f.t)  # the set itself is read afresh
-    # over another field the same indices are no unital's complement: its own lines say so, not the kept counts
-    assert not check_property_I(PointSet(2, _other_field(f), comp.members), 2, f.t)
-    assert passes == [len(U), len(U), len(comp)]
+    calls = {
+        "check": lambda: is_unital_embedded(U).ok,
+        "blocks": lambda: len(blocks_of(U)) == 208,
+        "property I": lambda: check_property_I(U.complement(), 2, f.t),
+    }
+    assert all(calls[c]() for c in order)
+    first = [_space(2, f).count - len(U)] if order[0] == "property I" else []  # that complement reads its own
+    assert [len(S) for S in passes] == first + [len(U)] and passes[-1] is U
 
 
 def test_fit_hermitian_form_recovers_the_identity():
