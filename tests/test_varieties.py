@@ -300,8 +300,11 @@ def test_blocks_form_a_steiner_design(q):
     blocks = blocks_of(H)
     assert len(blocks) == q * q * (q * q - q + 1)
     assert all(len(b) == q + 1 for b in blocks)
-    with pytest.raises(ValueError):
-        blocks_of(PointSet.of(2, f, range(5)))
+    for S in (PointSet.of(2, f, range(5)), PointSet.of(2, f, range(q**3 + 1))):  # wrong size; right size, wrong profile
+        check = is_unital_embedded(S)
+        assert not check.ok
+        with pytest.raises(ValueError, match=re.escape(f"not a unital: profile {check.profile}, size {check.size}")):
+            blocks_of(S)
 
 
 # the 12 lines of AG(2,3): a 2-(9, 3, 1) design on the points 0..8
